@@ -18,11 +18,11 @@ from random import Random
 from typing import Optional
 
 from .errors import InvalidDescriptorError, ToolkitError, UnsupportedCarrierError
-from .matrices import ColVec, Matrix, mat_mul
+from .matrices import ColVec, Matrix
 from .semirings import SemiringDescriptor, SemiringTag, format_element
 from .solver import SolveKind, membership_certified
 from .sampling import random_system
-from .witness import check_certificate, non_exactness_instance
+from .witness import non_exactness_instance
 
 
 class ExactnessReason(Enum):
@@ -172,8 +172,9 @@ def randomized_dichotomy_suite(
     """Draw random systems and demand one *verified* Solution or Refutation each.
 
     Half the draws are solvable by construction (b := A·w), half independent.
-    Each Solution is recomputed against A, each Refutation re-validated; an
-    Undecided outcome or a failed check is reported as a failure with enough
+    ``membership_certified`` checks every answer against (A, b) before it
+    returns and raises ``InternalInvariantError`` on a failed check; that
+    error, like an Undecided outcome, is reported as a failure with enough
     context to replay it.
     """
     tag = SemiringTag(tag)
@@ -191,15 +192,9 @@ def randomized_dichotomy_suite(
             failures.append(f"{prefix} raised {type(exc).__name__}: {exc}")
             continue
         if result.kind is SolveKind.SOLUTION:
-            if mat_mul(a, result.w) == b:
-                solutions += 1
-            else:
-                failures.append(f"{prefix} claimed solution does not reproduce b")
+            solutions += 1
         elif result.kind is SolveKind.REFUTATION:
-            if check_certificate(a, b, result.u, result.v):
-                refutations += 1
-            else:
-                failures.append(f"{prefix} claimed certificate does not validate")
+            refutations += 1
         else:
             failures.append(f"{prefix} returned {result.kind.value} on an exact carrier")
     return DichotomyReport(tag, trials, seed, solutions, refutations, tuple(failures))

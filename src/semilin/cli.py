@@ -11,9 +11,11 @@ Instance files are line-oriented and diff-friendly::
 
 The vector block is optional (normalize treats a missing vector as zero).
 Exit codes: 0 for a positive or inconclusive answer, 1 for a certified
-negative one (refutation / ill-posed / no-solution), 2 for usage or parse
-errors, 3 for internal invariant violations or suite failures.  Identical
-argv (and seed) produce byte-identical reports.
+negative one (refutation / ill-posed / no-solution / not-extendable), 2 for
+usage or parse errors, 3 for internal invariant violations or suite failures.
+Answers are printed as the solver returns them: it has already checked each
+one against the instance's (A, b) and raises InternalInvariantError (exit 3)
+on a failed check.  Identical argv (and seed) produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -38,19 +40,15 @@ from .matrices import (
     Matrix,
     is_column_stochastic,
     is_row_stochastic,
-    mat_mul,
     normalize,
     zeros_col,
 )
 from .semirings import SemiringTag, descriptor, format_element, parse_element
 from .solver import (
-    CertifiedSolveResult,
-    ExtensionKind,
     SolveKind,
     extend_functional,
     membership_certified,
 )
-from .witness import check_certificate
 
 USAGE = """\
 usage: semilin <command> [options]
@@ -166,42 +164,18 @@ def _vec(entries) -> str:
     return " ".join(format_element(e) for e in entries)
 
 
-def _render_solve(result: CertifiedSolveResult, fmt: str) -> str:
-    if fmt == "kv":
-        lines = [f"kind {result.kind.value}"]
-        if result.w is not None:
-            lines.append(f"w {_vec(result.w.entries)}")
-        if result.u is not None:
-            lines.append(f"u {_vec(result.u.entries)}")
-            lines.append(f"v {_vec(result.v.entries)}")
-        if result.detail:
-            lines.append(f"detail {result.detail}")
-        return "\n".join(lines)
-    if result.kind is SolveKind.SOLUTION:
-        return f"SOLUTION\nw = {_vec(result.w.entries)}"
-    if result.kind is SolveKind.REFUTATION:
-        return f"REFUTATION\nu = {_vec(result.u.entries)}\nv = {_vec(result.v.entries)}"
-    if result.kind is SolveKind.NO_SOLUTION:
-        return f"NO-SOLUTION\n{result.detail}"
-    return f"UNDECIDED\n{result.detail}"
+# certified answers of these kinds are negative: exit code 1
+_NEGATIVE_KINDS = {"refutation", "no-solution", "ill-posed", "not-extendable"}
 
 
-_SOLVE_EXIT = {
-    SolveKind.SOLUTION: 0,
-    SolveKind.UNDECIDED: 0,
-    SolveKind.REFUTATION: 1,
-    SolveKind.NO_SOLUTION: 1,
-}
-
-
-def _revalidate(a: Matrix, b: ColVec, result: CertifiedSolveResult) -> None:
-    # every printed answer is re-checked right before emission
-    if result.kind is SolveKind.SOLUTION and mat_mul(a, result.w) != b:
-        raise InternalInvariantError("solution failed re-validation")
-    if result.kind is SolveKind.REFUTATION and not check_certificate(
-        a, b, result.u, result.v
-    ):
-        raise InternalInvariantError("certificate failed re-validation")
+def _render_answer(kind: str, vectors: dict, detail: str, fmt: str) -> tuple[int, str]:
+    """Exit code and report for one certified answer: a kind, named vectors, a detail."""
+    sep = " " if fmt == "kv" else " = "
+    lines = [f"kind {kind}" if fmt == "kv" else kind.upper()]
+    lines += [f"{name}{sep}{_vec(v.entries)}" for name, v in vectors.items() if v is not None]
+    if detail:
+        lines.append(f"detail {detail}" if fmt == "kv" else detail)
+    return (1 if kind in _NEGATIVE_KINDS else 0), "\n".join(lines)
 
 
 # --- commands -----------------------------------------------------------------
@@ -211,35 +185,25 @@ def _read_instance(path: str) -> tuple[SemiringTag, Matrix, Optional[ColVec]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
     return parse_instance(text)
 
 
-def _require_vector(b: Optional[ColVec], command: str) -> ColVec:
+def _cmd_answer(command: str, path: str, fmt: str) -> tuple[int, str]:
+    """solve, witness and extend: report the answer the solver already checked."""
+    _, a, b = _read_instance(path)
     if b is None:
         raise _UsageError(f"'{command}' needs an instance with a vector block")
-    return b
-
-
-def _cmd_solve(path: str, fmt: str) -> tuple[int, str]:
-    _, a, b = _read_instance(path)
-    b = _require_vector(b, "solve")
+    if command == "extend":
+        ext = extend_functional(a, b)
+        vectors = {"alpha": ext.alpha, "u": ext.u, "v": ext.v}
+        return _render_answer(ext.kind.value, vectors, ext.detail, fmt)
     result = membership_certified(a, b)
-    _revalidate(a, b, result)
-    return _SOLVE_EXIT[result.kind], _render_solve(result, fmt)
-
-
-def _cmd_witness(path: str, fmt: str) -> tuple[int, str]:
-    _, a, b = _read_instance(path)
-    b = _require_vector(b, "witness")
-    result = membership_certified(a, b)
-    _revalidate(a, b, result)
-    if result.kind is SolveKind.SOLUTION:
-        if fmt == "kv":
-            return 0, f"kind membership-detected\nw {_vec(result.w.entries)}"
-        return 0, f"MEMBERSHIP-DETECTED\nw = {_vec(result.w.entries)}"
-    return _SOLVE_EXIT[result.kind], _render_solve(result, fmt)
+    kind = result.kind.value
+    if command == "witness" and result.kind is SolveKind.SOLUTION:
+        kind = "membership-detected"
+    return _render_answer(kind, {"w": result.w, "u": result.u, "v": result.v}, result.detail, fmt)
 
 
 def _cmd_normalize(path: str, fmt: str) -> tuple[int, str]:
@@ -272,36 +236,6 @@ def _cmd_normalize(path: str, fmt: str) -> tuple[int, str]:
         format_instance(tag, system.a_norm, system.b_norm).rstrip("\n"),
     ]
     return 0, "\n".join(lines)
-
-
-def _cmd_extend(path: str, fmt: str) -> tuple[int, str]:
-    _, g, values = _read_instance(path)
-    values = _require_vector(values, "extend")
-    result = extend_functional(g, values)
-    if result.kind is ExtensionKind.EXTENDED and mat_mul(g, result.alpha) != values:
-        raise InternalInvariantError("extension coefficients failed re-validation")
-    if result.kind is ExtensionKind.ILL_POSED and not check_certificate(
-        g, values, result.u, result.v
-    ):
-        raise InternalInvariantError("ill-posedness certificate failed re-validation")
-    if fmt == "kv":
-        lines = [f"kind {result.kind.value}"]
-        if result.alpha is not None:
-            lines.append(f"alpha {_vec(result.alpha.entries)}")
-        if result.u is not None:
-            lines.append(f"u {_vec(result.u.entries)}")
-            lines.append(f"v {_vec(result.v.entries)}")
-        if result.detail:
-            lines.append(f"detail {result.detail}")
-        text = "\n".join(lines)
-    elif result.kind is ExtensionKind.EXTENDED:
-        text = f"EXTENDED\nalpha = {_vec(result.alpha.entries)}"
-    elif result.kind is ExtensionKind.ILL_POSED:
-        text = f"ILL-POSED\nu = {_vec(result.u.entries)}\nv = {_vec(result.v.entries)}"
-    else:
-        text = f"{result.kind.value.upper().replace('_', '-')}\n{result.detail}"
-    code = 0 if result.kind in (ExtensionKind.EXTENDED, ExtensionKind.INCONCLUSIVE) else 1
-    return code, text
 
 
 def _cmd_classify(tag_name: str, fmt: str) -> tuple[int, str]:
@@ -391,12 +325,19 @@ def _cmd_verify(tag_name: str, opts: dict, fmt: str) -> tuple[int, str]:
     except ValueError:
         raise _UsageError(f"unknown semiring {tag_name!r}") from None
     if tag is SemiringTag.BOOLEAN and "trials" not in opts:
+        if "seed" in opts:
+            raise _UsageError("--seed applies to the randomized suite only")
         max_dim = opts.get("max-dim", 3)
-        report = boolean_exhaustive_check(max_dim, max_dim)
+        try:
+            report = boolean_exhaustive_check(max_dim, max_dim)
+        except ValueError as exc:
+            raise _UsageError(f"--max-dim: {exc}") from None
         return (3 if report.total_violations else 0), _render_exhaustive(report, fmt)
     if "max-dim" in opts:
         raise _UsageError("--max-dim applies to the boolean exhaustive sweep only")
     trials = opts.get("trials", 1000)
+    if trials < 1:
+        raise _UsageError("--trials needs a positive integer")
     seed = opts.get("seed", 42)
     report = randomized_dichotomy_suite(tag, trials, seed)
     return (3 if report.failures else 0), _render_dichotomy(report, fmt)
@@ -447,13 +388,9 @@ def run_command(argv: Sequence[str]) -> tuple[int, str]:
                 raise _UsageError(f"'{command}' takes exactly one instance file")
             if opts:
                 raise _UsageError(f"'{command}' takes no numeric options")
-            handler = {
-                "solve": _cmd_solve,
-                "witness": _cmd_witness,
-                "normalize": _cmd_normalize,
-                "extend": _cmd_extend,
-            }[command]
-            return handler(positional[0], fmt)
+            if command == "normalize":
+                return _cmd_normalize(positional[0], fmt)
+            return _cmd_answer(command, positional[0], fmt)
         if command == "classify":
             if len(positional) != 1 or opts:
                 raise _UsageError("'classify' takes exactly one semiring name")

@@ -3,6 +3,10 @@
 ``membership_certified`` answers whether b lies in the right image of A and
 backs the answer up: a Solution carries w with A·w = b recomputed exactly,
 a Refutation carries a kernel pair (u, v) with u·A = v·A and u·b != v·b.
+Both are checked in one place, ``_checked_solution`` / ``_checked_refutation``,
+against the caller's original (A, b); a failed check raises
+``InternalInvariantError`` instead of returning.  That is the only check on an
+emitted answer: the CLI and the verification suites do not repeat it.
 Over the boolean, tropical and rational carriers exactly one of the two is
 returned for every system.  The nonnegative-rational carrier admits a third
 outcome, NO_SOLUTION, for systems proved unsolvable by exact elimination yet
@@ -218,13 +222,15 @@ def field_solve(a: Matrix, b: ColVec) -> CertifiedSolveResult:
     return _checked_solution(a, b, w)
 
 
-def _checked_solution(a: Matrix, b: ColVec, w: ColVec, detail: str = "") -> CertifiedSolveResult:
+def _checked_solution(a: Matrix, b: ColVec, w: ColVec) -> CertifiedSolveResult:
+    """The only way a SOLUTION is built: A·w is recomputed against the original b."""
     if mat_mul(a, w) != b:
         raise InternalInvariantError("claimed solution does not reproduce b")
-    return CertifiedSolveResult(SolveKind.SOLUTION, w=w, detail=detail)
+    return CertifiedSolveResult(SolveKind.SOLUTION, w=w)
 
 
 def _checked_refutation(a: Matrix, b: ColVec, u: RowVec, v: RowVec) -> CertifiedSolveResult:
+    """The only way a REFUTATION is built: (u, v) is checked against the original (A, b)."""
     if not check_certificate(a, b, u, v):
         raise InternalInvariantError("claimed kernel pair does not validate")
     return CertifiedSolveResult(SolveKind.REFUTATION, u=u, v=v)
@@ -290,7 +296,8 @@ def membership_certified(a: Matrix, b: ColVec) -> CertifiedSolveResult:
     column-stochastic form, residuate, and on failure construct a kernel pair
     (exhaustive search over the two-element carrier) that maps back through
     the inverse scalings.  nonneg-rational: elimination plus a bounded search.
-    Every returned object is re-validated before this function returns.
+    Every Solution and Refutation is checked against the caller's (A, b)
+    before it is returned, so callers need not check it again.
     """
     _check_system(a, b)
     tag = a.tag

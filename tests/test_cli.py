@@ -236,12 +236,25 @@ def test_reports_are_deterministic():
         ["verify", "tropical", "--max-dim", "3"],
         ["verify", "tropical", "--trials", "abc"],
         ["solve", "x", "--format", "yaml"],
+        ["verify", "boolean", "--max-dim", "5"],
+        ["verify", "boolean", "--max-dim", "0"],
+        ["verify", "boolean", "--seed", "7"],
+        ["verify", "tropical", "--trials", "-3"],
+        ["verify", "tropical", "--trials", "0"],
     ],
 )
 def test_usage_errors_exit_two(argv):
     code, report = run_command(argv)
     assert code == 2
     assert report.startswith("error:")
+
+
+def test_non_utf8_instance_is_a_usage_error(tmp_path):
+    path = tmp_path / "bad.inst"
+    path.write_bytes(b"semiring tropical\nmatrix 1 1\n\xff\nvector 1\n0\n")
+    code, report = run_command(["solve", str(path)])
+    assert code == 2
+    assert report.startswith(f"error: cannot read {path}: ")
 
 
 def test_solve_requires_vector(tmp_path):
@@ -261,3 +274,49 @@ def test_exit_codes_match_report_kinds(tmp_path):
         kind = report.splitlines()[0]
         expected = {"SOLUTION": 0, "UNDECIDED": 0, "REFUTATION": 1, "NO-SOLUTION": 1}[kind]
         assert code == expected
+
+
+# --- the solver's answer check is the only guard on a printed answer -------------
+
+SOLVABLE_INSTANCE = "semiring tropical\nmatrix 2 2\n0 2\n3 0\nvector 2\n1 0\n"
+
+
+@pytest.fixture
+def corrupted_answers(monkeypatch):
+    """Make the tropical/boolean path hand wrong answers to the solver's final check."""
+    import semilin.solver as solver
+    from semilin.matrices import zeros_col
+
+    real_inflate, real_unscale = solver.inflate_solution, solver.unscale_certificate
+
+    def wrong_solution(system, w_norm):
+        w = real_inflate(system, w_norm)
+        return zeros_col(w.tag, w.length)
+
+    def trivial_pair(system, u_norm, v_norm):
+        u, _ = real_unscale(system, u_norm, v_norm)
+        return u, u
+
+    monkeypatch.setattr(solver, "inflate_solution", wrong_solution)
+    monkeypatch.setattr(solver, "unscale_certificate", trivial_pair)
+
+
+@pytest.mark.parametrize(
+    "instance", [SOLVABLE_INSTANCE, REFUTED_INSTANCE], ids=["solution", "refutation"]
+)
+@pytest.mark.parametrize("command", ["solve", "witness", "extend"])
+def test_corrupted_answer_exits_three(tmp_path, corrupted_answers, command, instance):
+    path = _write(tmp_path, "case.inst", instance)
+    for fmt in ("text", "kv"):
+        code, report = run_command([command, path, "--format", fmt])
+        assert code == 3
+        assert report.startswith("internal invariant violation: ")
+
+
+def test_corrupted_answer_is_a_suite_failure(corrupted_answers):
+    code, report = run_command(["verify", "tropical", "--trials", "40", "--seed", "1"])
+    assert code == 3
+    lines = report.splitlines()
+    failures = int(next(line for line in lines if line.startswith("failures: ")).split()[1])
+    assert failures > 0
+    assert " raised InternalInvariantError: " in lines[-1]
