@@ -10,6 +10,7 @@ Elements are immutable values.  All operations here are pure and reentrant.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -267,6 +268,11 @@ def descriptor(tag: SemiringTag | str) -> SemiringDescriptor:
 #   boolean            0 | 1
 #   rational carriers  optional sign, integer or p/q (any p/q in, lowest terms out)
 #   tropical           rational token, or `inf` for the additive identity
+#
+# Decimals, exponents and underscores are rejected, so the size of every
+# number the solver meets is bounded by the length of the input text.
+
+_RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def format_element(e: Element) -> str:
@@ -290,6 +296,8 @@ def parse_element(tag: SemiringTag | str, token: str) -> Element:
         raise ValueError(f"boolean token must be 0 or 1, got {token!r}")
     if tag is SemiringTag.TROPICAL and token == "inf":
         return zero(tag)
+    if not _RATIONAL_TOKEN.fullmatch(token):
+        raise ValueError(f"bad {tag.value} token {token!r}: expected an integer or p/q")
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:

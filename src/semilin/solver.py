@@ -8,9 +8,12 @@ against the caller's original (A, b); a failed check raises
 ``InternalInvariantError`` instead of returning.  That is the only check on an
 emitted answer: the CLI and the verification suites do not repeat it.
 Over the boolean, tropical and rational carriers exactly one of the two is
-returned for every system.  The nonnegative-rational carrier admits a third
-outcome, NO_SOLUTION, for systems proved unsolvable by exact elimination yet
-having no kernel pair, plus UNDECIDED when a bounded search is inconclusive.
+returned for every system.  The rational carriers are decided by exact
+elimination, ``_row_reduce``: fraction-free Gauss-Jordan on integer-scaled
+rows, which also yields the refutation row and the null basis.  The
+nonnegative-rational carrier admits a third outcome, NO_SOLUTION, for systems
+proved unsolvable by exact elimination yet having no kernel pair, plus
+UNDECIDED when a bounded search is inconclusive.
 
 ``extend_functional`` turns the same machinery into an extension engine for
 functionals given by their values on the rows of a generator matrix.
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice, product
+from math import lcm
 from typing import Optional
 
 from .errors import (
@@ -144,58 +148,79 @@ def principal_solution(a: Matrix, b: ColVec) -> Optional[ColVec]:
 def _row_reduce(
     a: list[list[Fraction]], b: list[Fraction]
 ) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]], list[list[Fraction]]]:
-    """Gauss-Jordan over exact fractions with a tracked transform.
+    """Fraction-free (Bareiss) Gauss-Jordan over integer-scaled rows.
 
     Returns (particular_solution, refutation_row, null_basis).  Exactly one
     of the first two is not None.  The refutation row y satisfies y·A = 0 and
     y·b != 0, read off the transform at an inconsistent row.
+
+    Each row of [A | b] is scaled by the lcm of its denominators and extended
+    by a row of the identity, which tracks the transform.  Pivots are chosen
+    as in textbook Gauss-Jordan (first nonzero at or below the current row).
+    A pivot p replaces every other row by (p·row - row[c]·pivot_row) // prev,
+    where prev is the previous pivot; every entry is then a minor of the
+    scaled matrix, so every division is exact (Bareiss 1968).  All pivot rows
+    end with the last pivot on their diagonal, and Fractions appear only in
+    the returned values.  The refutation row is the transform row times the
+    row scales, divided by its own entry at the inconsistent row: that is the
+    unique left-kernel vector of A with coefficient 1 there and support on
+    the pivot rows besides, so the answers equal those of elimination over
+    Fractions.
     """
     d = len(a)
     n = len(a[0]) if a else 0
-    m = [list(row) for row in a]
-    rhs = list(b)
-    transform = [[Fraction(int(i == t)) for t in range(d)] for i in range(d)]
+    scales = []
+    m = []
+    for i, row in enumerate(a):
+        s = lcm(*(x.denominator for x in row), b[i].denominator)
+        scales.append(s)
+        m.append([x.numerator * (s // x.denominator) for x in (*row, b[i])] + [0] * d)
+        m[i][n + 1 + i] = 1
+    origin = list(range(d))
 
     pivot_cols: list[int] = []
+    prev = 1
     r = 0
     for c in range(n):
-        pivot = next((i for i in range(r, d) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, d) if m[i][c]), None)
         if pivot is None:
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
-            rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
-            transform[r], transform[pivot] = transform[pivot], transform[r]
-        scale = m[r][c]
-        m[r] = [x / scale for x in m[r]]
-        rhs[r] = rhs[r] / scale
-        transform[r] = [x / scale for x in transform[r]]
+            origin[r], origin[pivot] = origin[pivot], origin[r]
+        top = m[r]
+        p = top[c]
         for i in range(d):
-            if i == r or m[i][c] == 0:
+            if i == r:
                 continue
-            factor = m[i][c]
-            m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-            rhs[i] = rhs[i] - factor * rhs[r]
-            transform[i] = [x - factor * y for x, y in zip(transform[i], transform[r])]
+            row = m[i]
+            f = row[c]
+            if f:
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in row]
+        prev = p
         pivot_cols.append(c)
         r += 1
         if r == d:
             break
 
     for i in range(r, d):
-        if rhs[i] != 0:
-            return None, transform[i], []
+        if m[i][n]:
+            y = [t * s for t, s in zip(m[i][n + 1 :], scales)]
+            lead = y[origin[i]]
+            return None, [Fraction(x, lead) for x in y], []
 
     solution = [Fraction(0)] * n
     for idx, c in enumerate(pivot_cols):
-        solution[c] = rhs[idx]
+        solution[c] = Fraction(m[idx][n], prev)
     free_cols = [c for c in range(n) if c not in set(pivot_cols)]
     null_basis = []
     for f in free_cols:
         vec = [Fraction(0)] * n
         vec[f] = Fraction(1)
         for idx, c in enumerate(pivot_cols):
-            vec[c] = -m[idx][f]
+            vec[c] = Fraction(-m[idx][f], prev)
         null_basis.append(vec)
     return solution, None, null_basis
 

@@ -2,7 +2,9 @@
 
 These work on raw payloads (bits, fractions, float infinity) rather than on
 Element arithmetic, so a bug in the carrier operations cannot hide a matching
-bug in the decision procedures.
+bug in the decision procedures.  ``gauss_jordan_reference`` is textbook
+elimination over Fractions, the reference for the solver's integer
+elimination.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from typing import Optional
 
 from semilin import INF, ColVec, Matrix
 
@@ -84,3 +87,62 @@ def boolean_kernel_inclusion(a: Matrix, b: ColVec) -> bool:
         else:
             seen[cols] = bval
     return True
+
+
+def gauss_jordan_reference(
+    a: list[list[Fraction]], b: list[Fraction]
+) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]], list[list[Fraction]]]:
+    """Gauss-Jordan over exact fractions with a tracked transform.
+
+    Returns (particular_solution, refutation_row, null_basis).  Exactly one
+    of the first two is not None.  The refutation row y satisfies y·A = 0 and
+    y·b != 0, read off the transform at an inconsistent row.
+    """
+    d = len(a)
+    n = len(a[0]) if a else 0
+    m = [list(row) for row in a]
+    rhs = list(b)
+    transform = [[Fraction(int(i == t)) for t in range(d)] for i in range(d)]
+
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, d) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
+            transform[r], transform[pivot] = transform[pivot], transform[r]
+        scale = m[r][c]
+        m[r] = [x / scale for x in m[r]]
+        rhs[r] = rhs[r] / scale
+        transform[r] = [x / scale for x in transform[r]]
+        for i in range(d):
+            if i == r or m[i][c] == 0:
+                continue
+            factor = m[i][c]
+            m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+            rhs[i] = rhs[i] - factor * rhs[r]
+            transform[i] = [x - factor * y for x, y in zip(transform[i], transform[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == d:
+            break
+
+    for i in range(r, d):
+        if rhs[i] != 0:
+            return None, transform[i], []
+
+    solution = [Fraction(0)] * n
+    for idx, c in enumerate(pivot_cols):
+        solution[c] = rhs[idx]
+    free_cols = [c for c in range(n) if c not in set(pivot_cols)]
+    null_basis = []
+    for f in free_cols:
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for idx, c in enumerate(pivot_cols):
+            vec[c] = -m[idx][f]
+        null_basis.append(vec)
+    return solution, None, null_basis

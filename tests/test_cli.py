@@ -1,5 +1,6 @@
 """Instance format round-trips, command dispatch, exit codes, determinism."""
 
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -20,6 +21,8 @@ T = SemiringTag.TROPICAL
 B = SemiringTag.BOOLEAN
 Q = SemiringTag.RATIONAL
 QP = SemiringTag.NONNEG_RATIONAL
+
+DATA = Path(__file__).parent / "data"
 
 REFUTED_INSTANCE = """\
 semiring tropical
@@ -241,6 +244,7 @@ def test_reports_are_deterministic():
         ["verify", "boolean", "--seed", "7"],
         ["verify", "tropical", "--trials", "-3"],
         ["verify", "tropical", "--trials", "0"],
+        ["solve", str(DATA / "exponent_token.inst")],
     ],
 )
 def test_usage_errors_exit_two(argv):

@@ -126,7 +126,10 @@ def test_parse_element_canonicalizes(tag, token, canonical):
 
 @pytest.mark.parametrize(
     "tag,token",
-    [(B, "2"), (B, "inf"), (T, "x"), (Q, "1/0"), (QP, "-1"), (Q, "inf")],
+    [
+        (B, "2"), (B, "inf"), (T, "x"), (Q, "1/0"), (QP, "-1"), (Q, "inf"),
+        (Q, "0.5"), (T, "2.5e1"), (QP, "1_0"), (Q, "1e5000"),
+    ],
 )
 def test_parse_element_rejects(tag, token):
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Membership decisions: residuation, exact elimination, certificates, extension."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -32,7 +33,8 @@ from semilin.sampling import (
     random_system,
     random_zero_one_col,
 )
-from tests.oracles import boolean_member, tropical_member_grid
+from semilin.solver import _row_reduce
+from tests.oracles import boolean_member, gauss_jordan_reference, tropical_member_grid
 
 T = SemiringTag.TROPICAL
 B = SemiringTag.BOOLEAN
@@ -161,6 +163,75 @@ def test_field_solve_random_dichotomy():
             assert result.kind is SolveKind.REFUTATION
             assert check_certificate(a, b, result.u, result.v)
     assert kinds == {SolveKind.SOLUTION, SolveKind.REFUTATION}
+
+
+def _plant_dependent_rows(rng, a, count):
+    """Overwrite `count` rows of a with rational combinations of two other rows."""
+    for i in rng.sample(range(len(a)), count):
+        j, k = rng.choice(range(len(a))), rng.choice(range(len(a)))
+        s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(rng.randint(-3, 3))
+        a[i] = [s * x + t * y for x, y in zip(a[j], a[k])]
+
+
+def _image(a, w):
+    return [sum((x * y for x, y in zip(row, w)), Fraction(0)) for row in a]
+
+
+def test_row_reduce_matches_fraction_reference():
+    """Integer elimination returns the very triple that elimination over Fractions does."""
+    rng = Random(301)
+    seen = set()
+    for _ in range(2000):
+        d, n = rng.randint(1, 10), rng.randint(0, 10)
+        a = [
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(n)]
+            for _ in range(d)
+        ]
+        for j in rng.sample(range(n), rng.randint(0, n // 3)):
+            for row in a:
+                row[j] = Fraction(0)
+        if d > 1:
+            _plant_dependent_rows(rng, a, rng.randint(0, d // 2))
+        if rng.random() < 0.5:
+            b = _image(a, [Fraction(rng.randint(-4, 4), rng.randint(1, 7)) for _ in range(n)])
+        else:
+            b = [Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(d)]
+        got = _row_reduce(a, b)
+        assert got == gauss_jordan_reference(a, b), (a, b)
+        seen.add((got[1] is not None, bool(got[2])))
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+@pytest.mark.parametrize("rank", [12, 7])
+@pytest.mark.parametrize("solvable", [True, False])
+def test_row_reduce_divides_exactly_on_wide_entries(rank, solvable):
+    """12x12 systems with 70-bit numerators over distinct primes: a lossy // would show."""
+    rng = Random(302 + rank + solvable)
+    for _ in range(3):
+        basis = [
+            [Fraction(rng.randint(-(2**70), 2**70), rng.choice(_PRIMES)) for _ in range(12)]
+            for _ in range(rank)
+        ]
+        a = basis + [
+            _image(list(zip(*basis)), [Fraction(rng.randint(-5, 5)) for _ in basis])
+            for _ in range(12 - rank)
+        ]
+        rng.shuffle(a)
+        if solvable:
+            b = _image(a, [Fraction(rng.randint(-(2**70), 2**70), p) for p in _PRIMES[:12]])
+        else:
+            b = [Fraction(rng.randint(-(2**70), 2**70), rng.choice(_PRIMES)) for _ in range(12)]
+        assert _row_reduce(a, b) == gauss_jordan_reference(a, b)
+        qa, qb = matrix(Q, a), col_vec(Q, b)
+        result = field_solve(qa, qb)
+        if result.kind is SolveKind.SOLUTION:
+            assert mat_mul(qa, result.w) == qb
+        else:
+            assert rank < 12 and not solvable
+            assert check_certificate(qa, qb, result.u, result.v)
 
 
 # --- membership with certificates ---------------------------------------------------
