@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import InvalidDescriptorError, ToolkitError, UnsupportedCarrierError
 from .matrices import ColVec, Matrix
-from .semirings import SemiringDescriptor, SemiringTag, format_element
+from .semirings import SemiringDescriptor, SemiringTag, descriptor, format_element
 from .solver import SolveKind, membership_certified
 from .sampling import random_system
 from .witness import non_exactness_instance
@@ -178,7 +178,7 @@ def randomized_dichotomy_suite(
     context to replay it.
     """
     tag = SemiringTag(tag)
-    if tag not in (SemiringTag.BOOLEAN, SemiringTag.TROPICAL, SemiringTag.RATIONAL):
+    if not classify(descriptor(tag)).left_exact:
         raise UnsupportedCarrierError("the dichotomy suite runs on exact carriers only")
     rng = Random(seed)
     solutions = refutations = 0

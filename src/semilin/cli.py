@@ -9,7 +9,8 @@ Instance files are line-oriented and diff-friendly::
     vector 2
     0 inf
 
-The vector block is optional (normalize treats a missing vector as zero).
+The vector block is optional (normalize treats a missing vector as zero),
+except after a zero-column matrix, whose row count only the vector backs.
 Exit codes: 0 for a positive or inconclusive answer, 1 for a certified
 negative one (refutation / ill-posed / no-solution / not-extendable), 2 for
 usage or parse errors, 3 for internal invariant violations or suite failures.
@@ -43,7 +44,7 @@ from .matrices import (
     normalize,
     zeros_col,
 )
-from .semirings import SemiringTag, descriptor, format_element, parse_element
+from .semirings import Element, SemiringTag, descriptor, format_element, parse_element
 from .solver import (
     SolveKind,
     extend_functional,
@@ -108,19 +109,20 @@ def parse_instance(text: str) -> tuple[SemiringTag, Matrix, Optional[ColVec]]:
         raise ParseError("matrix dimensions must be integers", no) from None
     if d < 1 or n < 0:
         raise ParseError(f"bad matrix shape {d}x{n}", no)
+    if n == 0 and pos >= len(lines):
+        # only the vector block's tokens can back the row count of such a matrix
+        raise ParseError("a matrix with no columns needs a vector block", no)
 
-    rows = []
-    for _ in range(d if n > 0 else 0):
-        no, tokens = take(f"a matrix row of {n} tokens")
-        if len(tokens) != n:
-            raise ParseError(f"expected {n} tokens, found {len(tokens)}", no)
+    def take_elements(what: str, count: int) -> tuple[Element, ...]:
+        no, tokens = take(f"a {what} of {count} tokens")
+        if len(tokens) != count:
+            raise ParseError(f"expected {count} tokens, found {len(tokens)}", no)
         try:
-            rows.append(tuple(parse_element(tag, t) for t in tokens))
+            return tuple(parse_element(tag, t) for t in tokens)
         except ValueError as exc:
             raise ParseError(str(exc), no) from None
-    if n == 0:
-        rows = [()] * d
-    a = Matrix(tag, d, n, tuple(rows))
+
+    rows = [take_elements("matrix row", n) for _ in range(d if n > 0 else 0)]
 
     b: Optional[ColVec] = None
     if pos < len(lines):
@@ -133,21 +135,18 @@ def parse_instance(text: str) -> tuple[SemiringTag, Matrix, Optional[ColVec]]:
             raise ParseError("vector length must be an integer", no) from None
         if length != d:
             raise ParseError(f"vector length {length} does not match {d} matrix rows", no)
-        no, tokens = take(f"a vector line of {length} tokens")
-        if len(tokens) != length:
-            raise ParseError(f"expected {length} tokens, found {len(tokens)}", no)
-        try:
-            b = ColVec(tag, tuple(parse_element(tag, t) for t in tokens))
-        except ValueError as exc:
-            raise ParseError(str(exc), no) from None
+        b = ColVec(tag, take_elements("vector line", length))
     if pos < len(lines):
         no, _ = lines[pos]
         raise ParseError("trailing content after instance", no)
-    return tag, a, b
+    return tag, Matrix(tag, d, n, tuple(rows) if n > 0 else ((),) * d), b
 
 
 def format_instance(tag: SemiringTag, a: Matrix, b: Optional[ColVec] = None) -> str:
-    """Canonical text for an instance; parse_instance round-trips it exactly."""
+    """Canonical text for an instance; parse_instance round-trips it exactly.
+
+    A zero-column matrix round-trips only together with its vector.
+    """
     out = [f"semiring {tag.value}", f"matrix {a.rows} {a.cols}"]
     if a.cols > 0:
         out.extend(" ".join(format_element(e) for e in row) for row in a.entries)
@@ -324,7 +323,7 @@ def _cmd_verify(tag_name: str, opts: dict, fmt: str) -> tuple[int, str]:
         tag = SemiringTag(tag_name)
     except ValueError:
         raise _UsageError(f"unknown semiring {tag_name!r}") from None
-    if tag is SemiringTag.BOOLEAN and "trials" not in opts:
+    if descriptor(tag).carrier_size == "two" and "trials" not in opts:
         if "seed" in opts:
             raise _UsageError("--seed applies to the randomized suite only")
         max_dim = opts.get("max-dim", 3)

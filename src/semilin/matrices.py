@@ -13,6 +13,7 @@ invertible diagonals, so answers map back exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -21,7 +22,18 @@ from .errors import (
     NotZeroSumFreeError,
     TagMismatchError,
 )
-from .semirings import Element, SemiringTag, add, descriptor, element, inv, mul, one, zero
+from .semirings import (
+    _CARRIERS,
+    Element,
+    SemiringTag,
+    add,
+    descriptor,
+    element,
+    inv,
+    mul,
+    one,
+    zero,
+)
 
 
 @dataclass(frozen=True)
@@ -153,18 +165,17 @@ def vec_add(x: Union[RowVec, ColVec], y: Union[RowVec, ColVec]) -> Union[RowVec,
     return type(x)(x.tag, tuple(add(p, q) for p, q in zip(x.entries, y.entries)))
 
 
+# _sum and _dot fold raw payloads through the carrier record and build one
+# Element per result; the containers have already checked every entry's tag.
 def _sum(tag: SemiringTag, items: Iterable[Element]) -> Element:
-    acc = zero(tag)
-    for x in items:
-        acc = add(acc, x)
-    return acc
+    c = _CARRIERS[tag]
+    return Element(tag, reduce(c.add, (x.value for x in items), c.zero))
 
 
 def _dot(tag: SemiringTag, xs: Sequence[Element], ys: Sequence[Element]) -> Element:
-    acc = zero(tag)
-    for x, y in zip(xs, ys):
-        acc = add(acc, mul(x, y))
-    return acc
+    c = _CARRIERS[tag]
+    products = map(c.mul, [x.value for x in xs], [y.value for y in ys])
+    return Element(tag, reduce(c.add, products, c.zero))
 
 
 MatMulOperand = Union[Matrix, RowVec, ColVec]

@@ -8,34 +8,20 @@ zero rows, b_i = 0) get exercised.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from random import Random
 
 from .matrices import ColVec, Matrix, RowVec, mat_mul
-from .semirings import INF, Element, SemiringTag, add, element, inv, mul, one, zero
+from .semirings import _CARRIERS, Element, SemiringTag, add, inv, mul, one, zero
 
 
 def random_element(tag: SemiringTag | str, rng: Random) -> Element:
     tag = SemiringTag(tag)
-    if tag is SemiringTag.BOOLEAN:
-        return element(tag, rng.randint(0, 1))
-    if tag is SemiringTag.TROPICAL:
-        if rng.random() < 0.125:
-            return element(tag, INF)
-        return element(tag, rng.randint(-9, 9))
-    if tag is SemiringTag.NONNEG_RATIONAL:
-        return element(tag, Fraction(rng.randint(0, 9), rng.randint(1, 3)))
-    return element(tag, Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+    return Element(tag, _CARRIERS[tag].random(rng))
 
 
 def random_nonzero_element(tag: SemiringTag | str, rng: Random) -> Element:
     tag = SemiringTag(tag)
-    if tag is SemiringTag.BOOLEAN:
-        return one(tag)
-    if tag is SemiringTag.TROPICAL:
-        return element(tag, rng.randint(-5, 5))
-    sign = 1 if tag is SemiringTag.NONNEG_RATIONAL else rng.choice((-1, 1))
-    return element(tag, Fraction(sign * rng.randint(1, 5), rng.randint(1, 3)))
+    return Element(tag, _CARRIERS[tag].random_nonzero(rng))
 
 
 def random_matrix(tag: SemiringTag | str, d: int, n: int, rng: Random) -> Matrix:

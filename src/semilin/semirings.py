@@ -5,16 +5,25 @@ for the two-element carrier, a fraction or the distinguished infinity for the
 min-plus carrier, a fraction for the rational carriers).  Floats are rejected
 everywhere; every identity the algebra promises holds bit-exactly.
 
+Everything that differs between carriers is one :class:`Carrier` record per
+tag in ``_CARRIERS``: raw-payload arithmetic, the payload check, the token
+grammar, the samplers and the axiom flags.  That table is the only place in
+the package that branches on the tag; every other function reads a field.
+
 Elements are immutable values.  All operations here are pure and reentrant.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import Literal, Union
+from functools import partial
+from random import Random
+from typing import Callable, Literal, Union
 
 from .errors import (
     InternalInvariantError,
@@ -68,18 +77,10 @@ class Element:
     value: Payload
 
     def __post_init__(self) -> None:
-        tag, value = self.tag, self.value
-        if tag is SemiringTag.BOOLEAN:
-            if not (type(value) is int and value in (0, 1)):
-                raise ValueError(f"boolean payload must be the int 0 or 1, got {value!r}")
-        elif tag is SemiringTag.TROPICAL:
-            if not (value is INF or type(value) is Fraction):
-                raise ValueError(f"tropical payload must be a Fraction or inf, got {value!r}")
-        else:
-            if type(value) is not Fraction:
-                raise ValueError(f"{tag.value} payload must be a Fraction, got {value!r}")
-            if tag is SemiringTag.NONNEG_RATIONAL and value < 0:
-                raise ValueError(f"nonneg-rational payload must be >= 0, got {value}")
+        if type(self.tag) is not SemiringTag:  # a plain str would pass the table lookup
+            raise TypeError(f"Element tag must be a SemiringTag, got {self.tag!r}")
+        if not _CARRIERS[self.tag].check(self.value):
+            raise ValueError(f"not a {self.tag.value} payload: {self.value!r}")
 
     def __repr__(self) -> str:
         return f"Element({self.tag.value}, {format_element(self)})"
@@ -100,35 +101,25 @@ def element(tag: SemiringTag | str, value) -> Element:
         raise TypeError("pass 0/1 ints, not bools")
     if isinstance(value, float):
         raise TypeError(f"floats are not exact; got {value!r}")
-    if tag is SemiringTag.BOOLEAN:
-        if value not in (0, 1):
-            raise ValueError(f"boolean carrier holds exactly 0 and 1, got {value!r}")
-        return Element(tag, int(value))
-    if value is INF:
-        if tag is not SemiringTag.TROPICAL:
-            raise ValueError(f"inf is not a {tag.value} value")
-        return Element(tag, INF)
-    return Element(tag, Fraction(value))
+    carrier = _CARRIERS[tag]
+    if value is not INF:
+        value = Fraction(value)
+        # 0 and 1 take the carrier's own payloads: ints on the two-element carrier
+        if value in (carrier.zero, carrier.one):
+            value = carrier.zero if value == carrier.zero else carrier.one
+    return Element(tag, value)
 
 
 def zero(tag: SemiringTag | str) -> Element:
     """Additive identity of the carrier (inf for tropical)."""
     tag = SemiringTag(tag)
-    if tag is SemiringTag.BOOLEAN:
-        return Element(tag, 0)
-    if tag is SemiringTag.TROPICAL:
-        return Element(tag, INF)
-    return Element(tag, Fraction(0))
+    return Element(tag, _CARRIERS[tag].zero)
 
 
 def one(tag: SemiringTag | str) -> Element:
     """Multiplicative identity of the carrier (the numeral 0 for tropical)."""
     tag = SemiringTag(tag)
-    if tag is SemiringTag.BOOLEAN:
-        return Element(tag, 1)
-    if tag is SemiringTag.TROPICAL:
-        return Element(tag, Fraction(0))
-    return Element(tag, Fraction(1))
+    return Element(tag, _CARRIERS[tag].one)
 
 
 def _same_tag(a: Element, b: Element) -> SemiringTag:
@@ -140,38 +131,21 @@ def _same_tag(a: Element, b: Element) -> SemiringTag:
 def add(a: Element, b: Element) -> Element:
     """Carrier addition: or for boolean, min for tropical, + for rationals."""
     tag = _same_tag(a, b)
-    if tag is SemiringTag.BOOLEAN:
-        return Element(tag, a.value | b.value)
-    if tag is SemiringTag.TROPICAL:
-        if a.value is INF:
-            return b
-        if b.value is INF:
-            return a
-        return a if a.value <= b.value else b
-    return Element(tag, a.value + b.value)
+    return Element(tag, _CARRIERS[tag].add(a.value, b.value))
 
 
 def mul(a: Element, b: Element) -> Element:
     """Carrier multiplication: and for boolean, + (inf absorbing) for tropical."""
     tag = _same_tag(a, b)
-    if tag is SemiringTag.BOOLEAN:
-        return Element(tag, a.value & b.value)
-    if tag is SemiringTag.TROPICAL:
-        if a.value is INF or b.value is INF:
-            return Element(tag, INF)
-        return Element(tag, a.value + b.value)
-    return Element(tag, a.value * b.value)
+    return Element(tag, _CARRIERS[tag].mul(a.value, b.value))
 
 
 def inv(a: Element) -> Element:
     """Multiplicative inverse; raises InvertZeroError on the additive identity."""
-    if a == zero(a.tag):
+    carrier = _CARRIERS[a.tag]
+    if a.value == carrier.zero:
         raise InvertZeroError(f"the {a.tag.value} additive identity has no inverse")
-    if a.tag is SemiringTag.BOOLEAN:
-        return a
-    if a.tag is SemiringTag.TROPICAL:
-        return Element(a.tag, -a.value)
-    return Element(a.tag, 1 / a.value)
+    return Element(a.tag, carrier.inv(a.value))
 
 
 def nat_geq(p: Element, q: Element) -> bool:
@@ -188,16 +162,16 @@ def element_not_below_one(tag: SemiringTag | str) -> Element:
     """Return some lam with 1 + lam != 1.
 
     Exists whenever the carrier has at least three elements: pick a canonical
-    a outside {0, 1}; if 1 + a != 1 take a, otherwise its inverse qualifies.
-    The two-element carrier has no such lam.
+    a outside {0, 1}, the least positive integer payload that is neither (1
+    for tropical, 2 for the rational carriers); if 1 + a != 1 take a,
+    otherwise its inverse qualifies.  The two-element carrier has no such lam.
     """
     tag = SemiringTag(tag)
-    if tag is SemiringTag.BOOLEAN:
-        raise TooFewElementsError("the boolean carrier has only two elements")
-    if tag is SemiringTag.TROPICAL:
-        candidate = element(tag, 1)
-    else:
-        candidate = element(tag, 2)
+    carrier = _CARRIERS[tag]
+    if carrier.descriptor.carrier_size == "two":
+        raise TooFewElementsError(f"the {tag.value} carrier has only two elements")
+    a = next(k for k in (1, 2) if k not in (carrier.zero, carrier.one))
+    candidate = Element(tag, Fraction(a))
     lam = candidate if not nat_geq(one(tag), candidate) else inv(candidate)
     if add(one(tag), lam) == one(tag):
         raise InternalInvariantError("canonical element unexpectedly below one")
@@ -222,45 +196,46 @@ class SemiringDescriptor:
     carrier_size: CarrierSize
 
 
-_DESCRIPTORS = {
-    SemiringTag.BOOLEAN: SemiringDescriptor(
-        SemiringTag.BOOLEAN,
-        is_idempotent=True,
-        has_minus_one=False,
-        is_zero_sum_free=True,
-        exists_absorbing_e=True,  # e = 1
-        carrier_size="two",
-    ),
-    SemiringTag.TROPICAL: SemiringDescriptor(
-        SemiringTag.TROPICAL,
-        is_idempotent=True,
-        has_minus_one=False,
-        is_zero_sum_free=True,
-        exists_absorbing_e=True,  # e = 1
-        carrier_size="infinite",
-    ),
-    SemiringTag.NONNEG_RATIONAL: SemiringDescriptor(
-        SemiringTag.NONNEG_RATIONAL,
-        is_idempotent=False,
-        has_minus_one=False,
-        is_zero_sum_free=True,
-        exists_absorbing_e=False,  # 1 + 1 + e >= 2 for every e >= 0
-        carrier_size="infinite",
-    ),
-    SemiringTag.RATIONAL: SemiringDescriptor(
-        SemiringTag.RATIONAL,
-        is_idempotent=False,
-        has_minus_one=True,
-        is_zero_sum_free=False,
-        exists_absorbing_e=True,  # e = -1
-        carrier_size="infinite",
-    ),
-}
-
-
 def descriptor(tag: SemiringTag | str) -> SemiringDescriptor:
     """Hard-coded descriptor of one of the four built-in carriers."""
-    return _DESCRIPTORS[SemiringTag(tag)]
+    return _CARRIERS[SemiringTag(tag)].descriptor
+
+
+def format_element(e: Element) -> str:
+    """Canonical token for an element."""
+    return _CARRIERS[e.tag].format(e.value)
+
+
+def parse_element(tag: SemiringTag | str, token: str) -> Element:
+    """Parse one token of the grammar below; raises ValueError on bad tokens."""
+    tag = SemiringTag(tag)
+    return Element(tag, _CARRIERS[tag].parse(token.strip()))
+
+
+# --- the carrier table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Carrier:
+    """One carrier's payloads and operations; all fields act on raw payloads.
+
+    ``inv`` is never called on ``zero``; ``check`` is the Element invariant;
+    ``parse`` takes a stripped token and raises ValueError on a bad one;
+    ``random`` and ``random_nonzero`` are the samplers' draws, in a fixed RNG
+    order so that seeded runs reproduce.
+    """
+
+    descriptor: SemiringDescriptor
+    zero: Payload
+    one: Payload
+    add: Callable[[Payload, Payload], Payload]
+    mul: Callable[[Payload, Payload], Payload]
+    inv: Callable[[Payload], Payload]
+    check: Callable[[object], bool]
+    parse: Callable[[str], Payload]
+    format: Callable[[Payload], str]
+    random: Callable[[Random], Payload]
+    random_nonzero: Callable[[Random], Payload]
 
 
 # --- token grammar, shared with the CLI instance format ---------------------
@@ -275,33 +250,115 @@ def descriptor(tag: SemiringTag | str) -> SemiringDescriptor:
 _RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def format_element(e: Element) -> str:
-    """Canonical token for an element."""
-    if e.tag is SemiringTag.BOOLEAN:
-        return str(e.value)
-    if e.value is INF:
-        return "inf"
-    return str(e.value)
-
-
-def parse_element(tag: SemiringTag | str, token: str) -> Element:
-    """Parse one token of the grammar above; raises ValueError on bad tokens."""
-    tag = SemiringTag(tag)
-    token = token.strip()
-    if tag is SemiringTag.BOOLEAN:
-        if token == "0":
-            return zero(tag)
-        if token == "1":
-            return one(tag)
+def _parse_bit(token: str) -> int:
+    if token not in ("0", "1"):
         raise ValueError(f"boolean token must be 0 or 1, got {token!r}")
-    if tag is SemiringTag.TROPICAL and token == "inf":
-        return zero(tag)
+    return int(token)
+
+
+def _parse_fraction(tag: SemiringTag, token: str) -> Fraction:
     if not _RATIONAL_TOKEN.fullmatch(token):
         raise ValueError(f"bad {tag.value} token {token!r}: expected an integer or p/q")
     try:
-        value = Fraction(token)
+        return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad {tag.value} token {token!r}: {exc}") from None
-    if tag is SemiringTag.NONNEG_RATIONAL and value < 0:
+
+
+def _parse_nonneg(token: str) -> Fraction:
+    value = _parse_fraction(SemiringTag.NONNEG_RATIONAL, token)
+    if value < 0:
         raise ValueError(f"nonneg-rational token must be >= 0, got {token!r}")
-    return Element(tag, value)
+    return value
+
+
+def _format_fraction(x: Fraction) -> str:
+    """Through Decimal, which has no digit cap: an answer can outgrow its input."""
+    digits = str(Decimal(x.numerator))
+    return digits if x.denominator == 1 else f"{digits}/{Decimal(x.denominator)}"
+
+
+_CARRIERS = {
+    SemiringTag.BOOLEAN: Carrier(
+        SemiringDescriptor(
+            SemiringTag.BOOLEAN,
+            is_idempotent=True,
+            has_minus_one=False,
+            is_zero_sum_free=True,
+            exists_absorbing_e=True,  # e = 1
+            carrier_size="two",
+        ),
+        zero=0,
+        one=1,
+        add=operator.or_,
+        mul=operator.and_,
+        inv=lambda x: x,
+        check=lambda v: type(v) is int and v in (0, 1),
+        parse=_parse_bit,
+        format=str,
+        random=lambda rng: rng.randint(0, 1),
+        random_nonzero=lambda rng: 1,
+    ),
+    SemiringTag.TROPICAL: Carrier(
+        SemiringDescriptor(
+            SemiringTag.TROPICAL,
+            is_idempotent=True,
+            has_minus_one=False,
+            is_zero_sum_free=True,
+            exists_absorbing_e=True,  # e = 1
+            carrier_size="infinite",
+        ),
+        zero=INF,
+        one=Fraction(0),
+        add=lambda x, y: y if x is INF else x if y is INF or x <= y else y,
+        mul=lambda x, y: INF if x is INF or y is INF else x + y,
+        inv=operator.neg,
+        check=lambda v: v is INF or type(v) is Fraction,
+        parse=lambda t: INF if t == "inf" else _parse_fraction(SemiringTag.TROPICAL, t),
+        format=lambda x: "inf" if x is INF else _format_fraction(x),
+        random=lambda rng: INF if rng.random() < 0.125 else Fraction(rng.randint(-9, 9)),
+        random_nonzero=lambda rng: Fraction(rng.randint(-5, 5)),
+    ),
+    SemiringTag.NONNEG_RATIONAL: Carrier(
+        SemiringDescriptor(
+            SemiringTag.NONNEG_RATIONAL,
+            is_idempotent=False,
+            has_minus_one=False,
+            is_zero_sum_free=True,
+            exists_absorbing_e=False,  # 1 + 1 + e >= 2 for every e >= 0
+            carrier_size="infinite",
+        ),
+        zero=Fraction(0),
+        one=Fraction(1),
+        add=operator.add,
+        mul=operator.mul,
+        inv=lambda x: 1 / x,
+        check=lambda v: type(v) is Fraction and v >= 0,
+        parse=_parse_nonneg,
+        format=_format_fraction,
+        random=lambda rng: Fraction(rng.randint(0, 9), rng.randint(1, 3)),
+        random_nonzero=lambda rng: Fraction(rng.randint(1, 5), rng.randint(1, 3)),
+    ),
+    SemiringTag.RATIONAL: Carrier(
+        SemiringDescriptor(
+            SemiringTag.RATIONAL,
+            is_idempotent=False,
+            has_minus_one=True,
+            is_zero_sum_free=False,
+            exists_absorbing_e=True,  # e = -1
+            carrier_size="infinite",
+        ),
+        zero=Fraction(0),
+        one=Fraction(1),
+        add=operator.add,
+        mul=operator.mul,
+        inv=lambda x: 1 / x,
+        check=lambda v: type(v) is Fraction,
+        parse=partial(_parse_fraction, SemiringTag.RATIONAL),
+        format=_format_fraction,
+        random=lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
+        random_nonzero=lambda rng: Fraction(
+            rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3)
+        ),
+    ),
+}

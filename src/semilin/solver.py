@@ -48,7 +48,7 @@ from .matrices import (
     zeros_col,
     zeros_row,
 )
-from .semirings import Element, SemiringTag, inv, mul, nat_geq, zero
+from .semirings import _CARRIERS, Element, SemiringTag, descriptor, inv, mul, nat_geq, zero
 from .witness import boolean_kernel_witness, check_certificate, kernel_witness
 
 
@@ -125,7 +125,7 @@ def principal_solution(a: Matrix, b: ColVec) -> Optional[ColVec]:
     """
     _check_system(a, b)
     tag = a.tag
-    if tag not in (SemiringTag.BOOLEAN, SemiringTag.TROPICAL):
+    if not descriptor(tag).is_idempotent:
         raise UnsupportedCarrierError("residuation needs an idempotent totally ordered carrier")
     z = zero(tag)
     entries = []
@@ -235,16 +235,9 @@ def _split_refutation_row(tag: SemiringTag, y: list[Fraction]) -> tuple[RowVec, 
 def field_solve(a: Matrix, b: ColVec) -> CertifiedSolveResult:
     """Exact elimination over the rational carrier: Solution or Refutation."""
     _check_system(a, b)
-    if a.tag is not SemiringTag.RATIONAL:
+    if not descriptor(a.tag).has_minus_one:
         raise UnsupportedCarrierError("field_solve is defined over the rational carrier")
-    raw_a = [[e.value for e in row] for row in a.entries]
-    raw_b = [e.value for e in b.entries]
-    solution, refutation_row, _ = _row_reduce(raw_a, raw_b)
-    if refutation_row is not None:
-        u, v = _split_refutation_row(a.tag, refutation_row)
-        return _checked_refutation(a, b, u, v)
-    w = ColVec(a.tag, tuple(Element(a.tag, x) for x in solution))
-    return _checked_solution(a, b, w)
+    return _eliminate(a, b)
 
 
 def _checked_solution(a: Matrix, b: ColVec, w: ColVec) -> CertifiedSolveResult:
@@ -261,24 +254,28 @@ def _checked_refutation(a: Matrix, b: ColVec, u: RowVec, v: RowVec) -> Certified
     return CertifiedSolveResult(SolveKind.REFUTATION, u=u, v=v)
 
 
-# --- bounded search over the nonnegative rationals ---------------------------
+# --- elimination, and bounded search over the nonnegative rationals ----------
 
 _GRID_VALUES = [Fraction(k, 2) for k in range(-6, 7)]
 _COARSE_VALUES = [Fraction(k) for k in range(-2, 3)]
 _SEARCH_CAP = 40000
 
 
-def _nonneg_membership(a: Matrix, b: ColVec) -> CertifiedSolveResult:
-    """Decide what exact elimination can; fall back to a bounded grid search.
+def _eliminate(a: Matrix, b: ColVec) -> CertifiedSolveResult:
+    """Exact elimination over Q, answering in the rational carrier of (A, b).
 
-    The rational refutation row splits into nonnegative u, v, so it stays a
-    valid certificate in the nonnegative carrier.  A unique rational solution
-    with a negative coordinate proves unsolvability analytically (the probe
-    instance family lands here) but admits no kernel pair, hence NO_SOLUTION
-    without one.  With free variables, candidates on a small grid around the
-    particular solution are tried; failure to find one is only UNDECIDED.
+    The rational refutation row splits into nonnegative u, v, so it is a
+    valid certificate in either rational carrier.  A rational solution is an
+    answer when every coordinate is an element of the carrier, which over
+    the rationals always holds.  Over the nonnegative rationals, a unique
+    rational solution with a negative coordinate proves unsolvability
+    analytically (the probe instance family lands here) but admits no kernel
+    pair, hence NO_SOLUTION without one.  With free variables, candidates on
+    a small grid around the particular solution are tried; failure to find
+    one is only UNDECIDED.
     """
     tag = a.tag
+    in_carrier = _CARRIERS[tag].check
     raw_a = [[e.value for e in row] for row in a.entries]
     raw_b = [e.value for e in b.entries]
     solution, refutation_row, null_basis = _row_reduce(raw_a, raw_b)
@@ -286,7 +283,7 @@ def _nonneg_membership(a: Matrix, b: ColVec) -> CertifiedSolveResult:
         u, v = _split_refutation_row(tag, refutation_row)
         return _checked_refutation(a, b, u, v)
     assert solution is not None
-    if all(x >= 0 for x in solution):
+    if all(map(in_carrier, solution)):
         w = ColVec(tag, tuple(Element(tag, x) for x in solution))
         return _checked_solution(a, b, w)
     if not null_basis:
@@ -305,7 +302,7 @@ def _nonneg_membership(a: Matrix, b: ColVec) -> CertifiedSolveResult:
             if t == 0:
                 continue
             candidate = [x + t * y for x, y in zip(candidate, vec)]
-        if all(x >= 0 for x in candidate):
+        if all(map(in_carrier, candidate)):
             w = ColVec(tag, tuple(Element(tag, x) for x in candidate))
             return _checked_solution(a, b, w)
     return CertifiedSolveResult(
@@ -315,21 +312,23 @@ def _nonneg_membership(a: Matrix, b: ColVec) -> CertifiedSolveResult:
 
 
 def membership_certified(a: Matrix, b: ColVec) -> CertifiedSolveResult:
-    """Decide b in right-im A with a certificate, dispatching on the carrier.
+    """Decide b in right-im A with a certificate, routed as the exactness theorem.
 
-    rational: exact elimination.  boolean/tropical: normalize to
+    A ring (has -1): exact elimination.  Idempotent: normalize to
     column-stochastic form, residuate, and on failure construct a kernel pair
     (exhaustive search over the two-element carrier) that maps back through
-    the inverse scalings.  nonneg-rational: elimination plus a bounded search.
-    Every Solution and Refutation is checked against the caller's (A, b)
-    before it is returned, so callers need not check it again.
+    the inverse scalings.  Neither (the nonnegative rationals): elimination
+    plus a bounded search.  Every Solution and Refutation is checked against
+    the caller's (A, b) before it is returned, so callers need not check it
+    again.
     """
     _check_system(a, b)
     tag = a.tag
-    if tag is SemiringTag.RATIONAL:
+    desc = descriptor(tag)
+    if desc.has_minus_one:
         return field_solve(a, b)
-    if tag is SemiringTag.NONNEG_RATIONAL:
-        return _nonneg_membership(a, b)
+    if not desc.is_idempotent:
+        return _eliminate(a, b)
 
     z = zero(tag)
     if all(e == z for e in b.entries):
@@ -342,11 +341,9 @@ def membership_certified(a: Matrix, b: ColVec) -> CertifiedSolveResult:
     xhat = principal_solution(system.a_norm, system.b_norm)
     if xhat is not None:
         return _checked_solution(a, b, inflate_solution(system, xhat))
+    witness = boolean_kernel_witness if desc.carrier_size == "two" else kernel_witness
     try:
-        if tag is SemiringTag.BOOLEAN:
-            u_norm, v_norm = boolean_kernel_witness(system.a_norm, system.b_norm)
-        else:
-            u_norm, v_norm = kernel_witness(system.a_norm, system.b_norm)
+        u_norm, v_norm = witness(system.a_norm, system.b_norm)
     except MembershipDetectedError as exc:
         raise InternalInvariantError(
             f"residuation found no solution but the witness builder found one: {exc}"

@@ -41,6 +41,7 @@ from .semirings import (
     Element,
     SemiringTag,
     add,
+    descriptor,
     element,
     element_not_below_one,
     inv,
@@ -68,9 +69,10 @@ def alternative_ones_preimage(a: Matrix) -> RowVec:
     single coordinate set to an element lam with 1 + lam != 1.
     """
     tag = a.tag
-    if tag is SemiringTag.BOOLEAN:
+    desc = descriptor(tag)
+    if desc.carrier_size == "two":
         raise TooFewElementsError("needs a carrier with at least three elements")
-    if tag is not SemiringTag.TROPICAL:
+    if not desc.is_idempotent:
         raise UnsupportedCarrierError("defined over idempotent carriers only")
     if not is_column_stochastic(a):
         raise NotApplicableError("matrix must be column-stochastic")
@@ -176,11 +178,12 @@ def kernel_witness(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
     solvable (b = 0, or Q row-stochastic).
     """
     tag = a.tag
-    if tag is SemiringTag.BOOLEAN:
+    desc = descriptor(tag)
+    if desc.carrier_size == "two":
         raise TooFewElementsError(
             "needs at least three elements; use boolean_kernel_witness instead"
         )
-    if tag is not SemiringTag.TROPICAL:
+    if not desc.is_idempotent:
         raise UnsupportedCarrierError("defined over idempotent carriers only")
     if not is_column_stochastic(a):
         raise NotApplicableError("matrix must be column-stochastic")
@@ -242,7 +245,7 @@ def boolean_kernel_witness(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
     detects membership.
     """
     tag = a.tag
-    if tag is not SemiringTag.BOOLEAN:
+    if descriptor(tag).carrier_size != "two":
         raise UnsupportedCarrierError("exhaustive witness search is boolean-only")
     if b.length != a.rows:
         raise NotApplicableError("vector length must match the row count")

@@ -14,11 +14,51 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from semilin import INF, ColVec, Matrix
+from semilin import INF, ColVec, Matrix, RowVec
 
 
 def _raw_tropical(e) -> Fraction | float:
     return math.inf if e.value is INF else e.value
+
+
+# (zero, add, mul) of each carrier on raw payloads, tropical infinity as math.inf
+_RAW_SEMIRINGS = {
+    "boolean": (0, lambda x, y: x | y, lambda x, y: x & y),
+    "tropical": (math.inf, min, lambda x, y: x + y),
+    "nonneg-rational": (Fraction(0), lambda x, y: x + y, lambda x, y: x * y),
+    "rational": (Fraction(0), lambda x, y: x + y, lambda x, y: x * y),
+}
+
+
+def raw_rows(x) -> list[list]:
+    """A Matrix, RowVec (1 x n), ColVec (n x 1) or scalar (1 x 1) as rows of raw payloads."""
+    if isinstance(x, Matrix):
+        rows = [list(row) for row in x.entries]
+    elif isinstance(x, RowVec):
+        rows = [list(x.entries)]
+    elif isinstance(x, ColVec):
+        rows = [[e] for e in x.entries]
+    else:
+        rows = [[x]]
+    return [[_raw_tropical(e) for e in row] for row in rows]
+
+
+def mat_mul_reference(x, y) -> list[list]:
+    """Textbook triple loop over raw payloads; the product as rows of raw payloads."""
+    zero, add, mul = _RAW_SEMIRINGS[x.tag.value]
+    xs, ys = raw_rows(x), raw_rows(y)
+    inner = len(xs[0]) if xs else 0
+    cols = len(ys[0]) if ys else (1 if isinstance(y, ColVec) else 0)
+    out = []
+    for row in xs:
+        out_row = []
+        for j in range(cols):
+            acc = zero
+            for k in range(inner):
+                acc = add(acc, mul(row[k], ys[k][j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 def tropical_member_grid(a: Matrix, b: ColVec, lo: int = -10, hi: int = 10) -> bool:

@@ -195,6 +195,18 @@ def test_extend_not_extendable(tmp_path):
     assert report.splitlines()[0] == "NOT-EXTENDABLE"
 
 
+@pytest.mark.parametrize("fmt", ["text", "kv"])
+@pytest.mark.parametrize("command", ["solve", "witness", "extend"])
+def test_answers_beyond_the_int_to_str_digit_limit_render(tmp_path, command, fmt):
+    """4,000-digit tokens parse; the answer 10^8000 exceeds Python's default
+    int-to-str limit of 4,300 digits and must still be printed in full."""
+    big = "1" + "0" * 4000
+    path = _write(tmp_path, "big.inst", f"semiring rational\nmatrix 1 1\n1/{big}\nvector 1\n{big}\n")
+    code, report = run_command([command, path, "--format", fmt])
+    assert code == 0
+    assert report.splitlines()[-1].split()[-1] == "1" + "0" * 8000
+
+
 def test_classify_command():
     code, report = run_command(["classify", "nonneg-rational"])
     assert code == 0
@@ -245,6 +257,7 @@ def test_reports_are_deterministic():
         ["verify", "tropical", "--trials", "-3"],
         ["verify", "tropical", "--trials", "0"],
         ["solve", str(DATA / "exponent_token.inst")],
+        ["normalize", str(DATA / "no_columns_no_vector.inst")],
     ],
 )
 def test_usage_errors_exit_two(argv):

@@ -6,12 +6,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from fractions import Fraction
+
 from semilin import (
     INF,
     ColVec,
     DimensionMismatchError,
     Matrix,
     NotZeroSumFreeError,
+    RowVec,
     SemiringTag,
     TagMismatchError,
     check_certificate,
@@ -27,8 +30,10 @@ from semilin import (
     row_vec,
     zero,
     SolveKind,
+    element,
 )
 from semilin.sampling import random_monomial, random_system
+from tests.oracles import mat_mul_reference, raw_rows
 from tests.strategies import ZERO_SUM_FREE_TAGS, EXACT_TAGS, elements, matrices, col_vecs
 
 T = SemiringTag.TROPICAL
@@ -81,6 +86,38 @@ def test_mat_mul_associative(tag, data):
     )
     z = data.draw(col_vecs(tag, 2))
     assert mat_mul(mat_mul(x, y), z) == mat_mul(x, mat_mul(y, z))
+
+
+_RAW_DRAWS = {
+    B: lambda rng: rng.randint(0, 1),
+    T: lambda rng: INF if rng.random() < 0.25 else Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
+    SemiringTag.NONNEG_RATIONAL: lambda rng: Fraction(rng.randint(0, 9), rng.randint(1, 3)),
+    Q: lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
+}
+
+
+@pytest.mark.parametrize("tag", list(SemiringTag))
+def test_mat_mul_matches_raw_reference(tag):
+    """Every operand pairing, with zero-column operands, against the raw-payload loop."""
+    rng = Random(f"mat-mul-{tag.value}")
+
+    def entries(count):
+        return tuple(element(tag, _RAW_DRAWS[tag](rng)) for _ in range(count))
+
+    def mat(d, n):
+        return Matrix(tag, d, n, tuple(entries(n) for _ in range(d)))
+
+    for _ in range(150):
+        d, n, m = rng.randint(1, 4), rng.randint(0, 4), rng.randint(1, 4)
+        pairs = [
+            (mat(d, n), ColVec(tag, entries(n))),
+            (RowVec(tag, entries(d)), mat(d, n)),
+            (RowVec(tag, entries(n)), ColVec(tag, entries(n))),
+        ]
+        if n > 0:
+            pairs.append((mat(d, n), mat(n, m)))
+        for x, y in pairs:
+            assert raw_rows(mat_mul(x, y)) == mat_mul_reference(x, y), (x, y)
 
 
 def test_stochastic_predicates():
