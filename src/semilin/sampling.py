@@ -8,6 +8,7 @@ zero rows, b_i = 0) get exercised.
 
 from __future__ import annotations
 
+from functools import reduce
 from random import Random
 
 from .matrices import ColVec, Matrix, RowVec, mat_mul
@@ -58,8 +59,9 @@ def random_column_stochastic(
 ) -> Matrix:
     """A column-stochastic matrix with entries drawn by ``entry(rng)``.
 
-    Columns are redrawn until they contain a nonzero entry, then scaled by
-    the inverse of their sum, which makes each column sum exactly one.
+    Columns are redrawn until their sum is nonzero (over the rationals a
+    column of nonzero entries can sum to 0), then scaled by the inverse of
+    that sum, which makes each column sum exactly one.
     """
     tag = SemiringTag(tag)
     z = zero(tag)
@@ -67,11 +69,9 @@ def random_column_stochastic(
     for _ in range(n):
         while True:
             col = [entry(rng) for _ in range(d)]
-            if any(e != z for e in col):
+            s = reduce(add, col)
+            if s != z:
                 break
-        s = col[0]
-        for e in col[1:]:
-            s = add(s, e)
         s_inv = inv(s)
         columns.append([mul(e, s_inv) for e in col])
     return Matrix(tag, d, n, tuple(tuple(columns[j][i] for j in range(n)) for i in range(d)))

@@ -316,7 +316,7 @@ def membership_certified(a: Matrix, b: ColVec) -> CertifiedSolveResult:
 
     A ring (has -1): exact elimination.  Idempotent: normalize to
     column-stochastic form, residuate, and on failure construct a kernel pair
-    (exhaustive search over the two-element carrier) that maps back through
+    (in closed form over the two-element carrier) that maps back through
     the inverse scalings.  Neither (the nonnegative rationals): elimination
     plus a bounded search.  Every Solution and Refutation is checked against
     the caller's (A, b) before it is returned, so callers need not check it

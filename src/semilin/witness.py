@@ -3,10 +3,10 @@
 A pair of row vectors (u, v) with u·A = v·A but u·b != v·b proves that b is
 not of the form A·w: applying both sides to any candidate w gives
 u·b = u·A·w = v·A·w = v·b, a contradiction.  This module builds such pairs
-explicitly for column-stochastic systems over the min-plus carrier, finds
-them by exhaustive search over the two-element carrier, and validates any
-claimed pair.  It also provides the canonical 2x2 system that separates the
-exact carriers from the nonnegative-rational one.
+explicitly, for column-stochastic systems over the min-plus carrier and in
+closed form over the two-element carrier, and validates any claimed pair.
+It also provides the canonical 2x2 system that separates the exact carriers
+from the nonnegative-rational one.
 
 The constructions check their own postconditions and raise
 InternalInvariantError on violation: a failure here is a bug, never a
@@ -16,7 +16,6 @@ property of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 from .errors import (
@@ -42,7 +41,6 @@ from .semirings import (
     SemiringTag,
     add,
     descriptor,
-    element,
     element_not_below_one,
     inv,
     mul,
@@ -237,31 +235,31 @@ def kernel_witness(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
 
 
 def boolean_kernel_witness(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
-    """Exhaustively find a kernel pair over the two-element carrier.
+    """Build a kernel pair over the two-element carrier in O(d·n).
 
-    Scans all (u, v) in {0,1}^d x {0,1}^d in lexicographic order and returns
-    the first pair with u·A = v·A and u·b != v·b.  When b is outside the
-    right image such a pair always exists; exhausting the search therefore
-    detects membership.
+    Let Z be the rows where b is 0 and i the first row with b_i = 1 whose
+    ones all lie in columns that meet Z.  Then u = e_i + 1_Z, v = 1_Z: A_i is
+    below the join of the rows in Z, so u·A = v·A, while u·b = 1 != 0 = v·b.
+    When no such row exists, the indicator of the columns missing Z solves
+    A·w = b, so MembershipDetectedError is raised.
     """
     tag = a.tag
     if descriptor(tag).carrier_size != "two":
-        raise UnsupportedCarrierError("exhaustive witness search is boolean-only")
+        raise UnsupportedCarrierError("the closed-form witness is boolean-only")
     if b.length != a.rows:
         raise NotApplicableError("vector length must match the row count")
-    d = a.rows
-    candidates = [
-        RowVec(tag, tuple(element(tag, bit) for bit in bits))
-        for bits in product((0, 1), repeat=d)
-    ]
-    images = [(mat_mul(u, a), mat_mul(u, b)) for u in candidates]
-    for iu, u in enumerate(candidates):
-        for iv, v in enumerate(candidates):
-            if images[iu][0] == images[iv][0] and images[iu][1] != images[iv][1]:
-                return u, v
-    raise MembershipDetectedError(
-        "every kernel pair also fixes b, so b lies in the right image"
-    )
+    z, o = zero(tag), one(tag)
+    z_rows = {k for k, e in enumerate(b.entries) if e == z}
+    supports = [{j for j, x in enumerate(row) if x != z} for row in a.entries]
+    meets_z = {j for k in z_rows for j in supports[k]}
+    missed = [i for i, cols in enumerate(supports) if i not in z_rows and cols <= meets_z]
+    if not missed:
+        raise MembershipDetectedError("the indicator of the columns missing Z solves A·w = b")
+    u = RowVec(tag, tuple(o if t in z_rows or t == missed[0] else z for t in range(a.rows)))
+    v = RowVec(tag, tuple(o if t in z_rows else z for t in range(a.rows)))
+    if not check_certificate(a, b, u, v):
+        raise InternalInvariantError("closed-form boolean pair failed validation")
+    return u, v
 
 
 def non_exactness_instance(tag: SemiringTag | str) -> tuple[Matrix, ColVec]:

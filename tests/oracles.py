@@ -4,7 +4,8 @@ These work on raw payloads (bits, fractions, float infinity) rather than on
 Element arithmetic, so a bug in the carrier operations cannot hide a matching
 bug in the decision procedures.  ``gauss_jordan_reference`` is textbook
 elimination over Fractions, the reference for the solver's integer
-elimination.
+elimination; ``boolean_kernel_pair_reference`` is the 4^d pair search, the
+reference for the closed-form boolean witness.
 """
 
 from __future__ import annotations
@@ -105,28 +106,48 @@ def boolean_member(a: Matrix, b: ColVec) -> bool:
     return False
 
 
-def boolean_kernel_inclusion(a: Matrix, b: ColVec) -> bool:
-    """Does u.A = v.A force u.b = v.b over all boolean row pairs?"""
+def _boolean_images(a: Matrix, b: ColVec) -> list[tuple[tuple, tuple[int, ...], int]]:
+    """(u, u.A, u.b) over raw bits for every u in {0,1}^d, in lexicographic order."""
     rows = [[e.value for e in row] for row in a.entries]
     target = [e.value for e in b.entries]
     d, n = a.rows, a.cols
-
-    def image(u):
+    images = []
+    for u in product((0, 1), repeat=d):
         cols = tuple(
             max(u[i] & rows[i][j] for i in range(d)) if d else 0 for j in range(n)
         )
         bval = max(u[i] & target[i] for i in range(d)) if d else 0
-        return cols, bval
+        images.append((u, cols, bval))
+    return images
 
+
+def boolean_kernel_inclusion(a: Matrix, b: ColVec) -> bool:
+    """Does u.A = v.A force u.b = v.b over all boolean row pairs?"""
     seen: dict[tuple, int] = {}
-    for u in product((0, 1), repeat=d):
-        cols, bval = image(u)
+    for _, cols, bval in _boolean_images(a, b):
         if cols in seen:
             if seen[cols] != bval:
                 return False
         else:
             seen[cols] = bval
     return True
+
+
+def boolean_kernel_pair_reference(
+    a: Matrix, b: ColVec
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The lexicographically first boolean kernel pair separating b, by search.
+
+    Scans all (u, v) in {0,1}^d x {0,1}^d in lexicographic order and returns
+    the first pair of bit tuples with u.A = v.A and u.b != v.b.  None means
+    every kernel pair fixes b, so b lies in the right image.
+    """
+    images = _boolean_images(a, b)
+    for u, u_cols, u_b in images:
+        for v, v_cols, v_b in images:
+            if u_cols == v_cols and u_b != v_b:
+                return u, v
+    return None
 
 
 def gauss_jordan_reference(

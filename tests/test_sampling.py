@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from semilin import SemiringTag, format_instance
+from semilin import SemiringTag, format_instance, is_column_stochastic
 from semilin.sampling import random_column_stochastic, random_element, random_monomial
 
 
@@ -107,3 +107,10 @@ PINNED = {
 @pytest.mark.parametrize("tag", list(SemiringTag))
 def test_seeded_generators_match_pins(tag):
     assert _draw(tag) == PINNED[tag]
+
+
+def test_rational_column_stochastic_redraws_columns_summing_to_zero():
+    """Seed 27 draws a rational column of nonzero entries that sums to 0."""
+    tag = SemiringTag.RATIONAL
+    a = random_column_stochastic(tag, 3, 3, Random(27), lambda r: random_element(tag, r))
+    assert is_column_stochastic(a)

@@ -251,9 +251,9 @@ def test_membership_boolean_refutation_example():
     b = col_vec(B, [1, 0])
     result = membership_certified(a, b)
     assert result.kind is SolveKind.REFUTATION
-    # lexicographically first separating pair
-    assert result.u == row_vec(B, [0, 1])
-    assert result.v == row_vec(B, [1, 0])
+    # the closed-form pair u = e_0 + 1_Z, v = 1_Z with Z = {1}
+    assert result.u == row_vec(B, [1, 1])
+    assert result.v == row_vec(B, [0, 1])
     assert check_certificate(a, b, result.u, result.v)
 
 

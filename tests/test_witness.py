@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+import semilin.witness
 from semilin import (
     INF,
     MembershipDetectedError,
@@ -30,6 +31,7 @@ from semilin import (
     vec_add,
 )
 from semilin.sampling import random_column_stochastic, random_zero_one_col
+from tests.oracles import boolean_kernel_pair_reference
 
 T = SemiringTag.TROPICAL
 B = SemiringTag.BOOLEAN
@@ -168,14 +170,15 @@ def test_kernel_witness_random_nonmembers():
         produced += 1
 
 
-# --- boolean exhaustive witness ------------------------------------------------------
+# --- boolean closed-form witness ----------------------------------------------------
 
 
 def test_boolean_kernel_witness_example():
     a = matrix(B, [[1], [1]])
     b = col_vec(B, [1, 0])
     u, v = boolean_kernel_witness(a, b)
-    assert (u, v) == (row_vec(B, [0, 1]), row_vec(B, [1, 0]))
+    # u = e_0 + 1_Z, v = 1_Z with Z = {1}, the rows where b is 0
+    assert (u, v) == (row_vec(B, [1, 1]), row_vec(B, [0, 1]))
     assert check_certificate(a, b, u, v)
 
 
@@ -183,6 +186,62 @@ def test_boolean_kernel_witness_membership_detected():
     a = identity_matrix(B, 2)
     with pytest.raises(MembershipDetectedError):
         boolean_kernel_witness(a, col_vec(B, [1, 0]))
+
+
+def _small_boolean_systems():
+    """Every boolean system with d <= 3 rows and n <= 3 columns, zero columns included."""
+    for d in range(1, 4):
+        for n in range(4):
+            for bits in product((0, 1), repeat=d * n + d):
+                rows = [list(bits[i * n : (i + 1) * n]) for i in range(d)]
+                yield matrix(B, rows), col_vec(B, bits[d * n :])
+
+
+def _random_boolean_systems(count: int, seed: int):
+    rng = Random(seed)
+    for _ in range(count):
+        d, n = rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.choice((0.2, 0.35, 0.5, 0.7))
+        rows = [[int(rng.random() < density) for _ in range(n)] for _ in range(d)]
+        yield matrix(B, rows), col_vec(B, [rng.randint(0, 1) for _ in range(d)])
+
+
+@pytest.mark.parametrize(
+    "systems",
+    [_small_boolean_systems, lambda: _random_boolean_systems(1000, 509)],
+    ids=["every-d-n-up-to-3", "seeded-d-n-up-to-7"],
+)
+def test_boolean_kernel_witness_matches_exhaustive_search(systems):
+    refuted = members = 0
+    for a, b in systems():
+        reference = boolean_kernel_pair_reference(a, b)
+        if reference is None:
+            with pytest.raises(MembershipDetectedError):
+                boolean_kernel_witness(a, b)
+            members += 1
+        else:
+            u, v = boolean_kernel_witness(a, b)
+            assert check_certificate(a, b, u, v)
+            refuted += 1
+    assert refuted and members
+
+
+def test_boolean_kernel_witness_does_no_exponential_work(monkeypatch):
+    """At 10x10 the pair search made 2 * 2^10 products; the closed form only self-checks."""
+    calls = 0
+    original = semilin.witness.mat_mul
+
+    def counting_mat_mul(x, y):
+        nonlocal calls
+        calls += 1
+        return original(x, y)
+
+    monkeypatch.setattr(semilin.witness, "mat_mul", counting_mat_mul)
+    a = matrix(B, [[1] * 10] * 10)
+    b = col_vec(B, [1] + [0] * 9)
+    u, v = boolean_kernel_witness(a, b)
+    assert calls <= 4
+    assert check_certificate(a, b, u, v)
 
 
 # --- the probe instance ---------------------------------------------------------------
