@@ -85,9 +85,7 @@ from .solver import (
     principal_solution,
 )
 from .witness import (
-    BlockSplit,
     alternative_ones_preimage,
-    block_split,
     boolean_kernel_witness,
     check_certificate,
     kernel_witness,

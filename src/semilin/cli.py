@@ -21,6 +21,7 @@ on a failed check.  Identical argv (and seed) produce byte-identical reports.
 
 from __future__ import annotations
 
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -78,6 +79,14 @@ class _UsageError(Exception):
 # --- instance format ----------------------------------------------------------
 
 
+def _decimal(token: str, signed: bool = False) -> int:
+    """ASCII digits only, after an optional '-' when signed; int() would also
+    take '+', '_' and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+" if signed else r"[0-9]+", token):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def parse_instance(text: str) -> tuple[SemiringTag, Matrix, Optional[ColVec]]:
     """Parse an instance file; errors carry the offending line number."""
     lines = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())]
@@ -104,9 +113,9 @@ def parse_instance(text: str) -> tuple[SemiringTag, Matrix, Optional[ColVec]]:
     if len(tokens) != 3 or tokens[0] != "matrix":
         raise ParseError("expected 'matrix <d> <n>'", no)
     try:
-        d, n = int(tokens[1]), int(tokens[2])
+        d, n = _decimal(tokens[1]), _decimal(tokens[2])
     except ValueError:
-        raise ParseError("matrix dimensions must be integers", no) from None
+        raise ParseError("matrix dimensions must be unsigned integers", no) from None
     if d < 1 or n < 0:
         raise ParseError(f"bad matrix shape {d}x{n}", no)
     if n == 0 and pos >= len(lines):
@@ -130,9 +139,9 @@ def parse_instance(text: str) -> tuple[SemiringTag, Matrix, Optional[ColVec]]:
         if len(tokens) != 2 or tokens[0] != "vector":
             raise ParseError("expected 'vector <d>' or end of file", no)
         try:
-            length = int(tokens[1])
+            length = _decimal(tokens[1])
         except ValueError:
-            raise ParseError("vector length must be an integer", no) from None
+            raise ParseError("vector length must be an unsigned integer", no) from None
         if length != d:
             raise ParseError(f"vector length {length} does not match {d} matrix rows", no)
         b = ColVec(tag, take_elements("vector line", length))
@@ -366,7 +375,7 @@ def _parse_argv(argv: list[str]) -> tuple[str, list[str], str, dict]:
             if i + 1 >= len(rest):
                 raise _UsageError(f"{arg} needs an integer value")
             try:
-                opts[_INT_FLAGS[arg]] = int(rest[i + 1])
+                opts[_INT_FLAGS[arg]] = _decimal(rest[i + 1], signed=True)
             except ValueError:
                 raise _UsageError(f"{arg} needs an integer value") from None
             i += 2

@@ -61,8 +61,11 @@ def random_column_stochastic(
 
     Columns are redrawn until their sum is nonzero (over the rationals a
     column of nonzero entries can sum to 0), then scaled by the inverse of
-    that sum, which makes each column sum exactly one.
+    that sum, which makes each column sum exactly one.  A matrix without
+    rows has no such column, so ``d < 1`` raises ValueError before any draw.
     """
+    if d < 1:
+        raise ValueError(f"a column-stochastic {d}x{n} matrix needs at least one row")
     tag = SemiringTag(tag)
     z = zero(tag)
     columns = []

@@ -49,7 +49,7 @@ from .matrices import (
     zeros_row,
 )
 from .semirings import _CARRIERS, Element, SemiringTag, descriptor, inv, mul, nat_geq, zero
-from .witness import boolean_kernel_witness, check_certificate, kernel_witness
+from .witness import _closed_form_pair, check_certificate
 
 
 class SolveKind(Enum):
@@ -315,11 +315,12 @@ def membership_certified(a: Matrix, b: ColVec) -> CertifiedSolveResult:
     """Decide b in right-im A with a certificate, routed as the exactness theorem.
 
     A ring (has -1): exact elimination.  Idempotent: normalize to
-    column-stochastic form, residuate, and on failure construct a kernel pair
-    (in closed form over the two-element carrier) that maps back through
-    the inverse scalings.  Neither (the nonnegative rationals): elimination
-    plus a bounded search.  Every Solution and Refutation is checked against
-    the caller's (A, b) before it is returned, so callers need not check it
+    column-stochastic form, residuate, and on failure build the closed-form
+    kernel pair of the failing row, the same formula on every idempotent
+    carrier, which maps back through the inverse scalings.  Neither (the
+    nonnegative rationals): elimination plus a bounded search.  Every
+    Solution and Refutation is checked against the caller's (A, b) before it
+    is returned, and that is the only check, so callers need not check it
     again.
     """
     _check_system(a, b)
@@ -341,9 +342,8 @@ def membership_certified(a: Matrix, b: ColVec) -> CertifiedSolveResult:
     xhat = principal_solution(system.a_norm, system.b_norm)
     if xhat is not None:
         return _checked_solution(a, b, inflate_solution(system, xhat))
-    witness = boolean_kernel_witness if desc.carrier_size == "two" else kernel_witness
     try:
-        u_norm, v_norm = witness(system.a_norm, system.b_norm)
+        u_norm, v_norm = _closed_form_pair(system.a_norm, system.b_norm)
     except MembershipDetectedError as exc:
         raise InternalInvariantError(
             f"residuation found no solution but the witness builder found one: {exc}"

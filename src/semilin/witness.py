@@ -2,21 +2,23 @@
 
 A pair of row vectors (u, v) with u·A = v·A but u·b != v·b proves that b is
 not of the form A·w: applying both sides to any candidate w gives
-u·b = u·A·w = v·A·w = v·b, a contradiction.  This module builds such pairs
-explicitly, for column-stochastic systems over the min-plus carrier and in
-closed form over the two-element carrier, and validates any claimed pair.
-It also provides the canonical 2x2 system that separates the exact carriers
-from the nonnegative-rational one.
+u·b = u·A·w = v·A·w = v·b, a contradiction.  Every idempotent carrier is
+left exact, so every unsolvable normalized system over one has such a pair,
+and this module builds it with one closed-form builder read off the row where
+residuation fails; ``kernel_witness`` (min-plus) and
+``boolean_kernel_witness`` are its public faces.  It also validates any
+claimed pair and provides the canonical 2x2 system that separates the exact
+carriers from the nonnegative-rational one.
 
-The constructions check their own postconditions and raise
+The public constructions check their own postconditions and raise
 InternalInvariantError on violation: a failure here is a bug, never a
-property of the input.
+property of the input.  The solver calls the builder unchecked, because it
+checks every answer against the caller's original system itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from functools import reduce
 
 from .errors import (
     InternalInvariantError,
@@ -37,6 +39,7 @@ from .matrices import (
     vec_add,
 )
 from .semirings import (
+    _CARRIERS,
     Element,
     SemiringTag,
     add,
@@ -95,85 +98,65 @@ def alternative_ones_preimage(a: Matrix) -> RowVec:
     return result
 
 
-@dataclass(frozen=True)
-class BlockSplit:
-    """Permuted block view of a column-stochastic system with a 0/1 side.
+def _closed_form_pair(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
+    """Kernel pair of a normalized system over an idempotent carrier, unchecked.
 
-    The k rows where b is one come first.  Columns whose entries in the
-    remaining rows are all zero form the Q side (m of them); the rest form
-    the P/R side, so R keeps no all-zero column and the bottom-right block of
-    the permuted matrix is identically zero.
+    With Z the rows where b is 0, O the rows where it is 1 and
+    m_j = sum of A_kj over k in Z, residuation gives 1 on the columns with
+    m_j = 0 and 0 on the others, so it fails exactly at a row i in O with
+    s_i = sum of A_ij over j with m_j = 0 different from 1.  Take the first
+    such i, lam = 1 if s_i = 0 and s_i^-1 otherwise, and
+    H = 1 + sum of lam·A_ij·m_j^-1 over j with m_j, A_ij != 0.  Then v is H on
+    Z and, on O, 0 if s_i = 0 and 1 otherwise; u is v with u_i = lam.
+    H·m_j dominates lam·A_ij on the columns meeting Z; off them column
+    stochasticity puts a 1 in some other row of O and lam·A_ij <= lam·s_i = 1.
+    So u·A = v·A, while u·b = 1 != 0 = v·b or u·b = lam != 1 = v·b.  The
+    arithmetic is the carrier's own; over the two-element carrier s_i = 0
+    and H = 1, which leaves u = e_i + 1_Z, v = 1_Z.
+
+    Raises MembershipDetectedError when no row fails: residuation then solves
+    A·w = b.
     """
-
-    k: int
-    m: int
-    row_order: tuple[int, ...]
-    q_columns: tuple[int, ...]
-    p_columns: tuple[int, ...]
-    p_block: Matrix  # k x (n - m)
-    q_block: Matrix  # k x m
-    r_block: Optional[Matrix]  # (d - k) x (n - m), None when k = d
-
-
-def block_split(a: Matrix, b: ColVec) -> BlockSplit:
-    """Split a system along the ones of b; requires b in {0,1}^d with k >= 1."""
     tag = a.tag
-    z, o = zero(tag), one(tag)
-    if b.length != a.rows:
-        raise NotApplicableError("vector length must match the row count")
-    if any(e != z and e != o for e in b.entries):
-        raise NotApplicableError("right-hand side must have 0/1 entries")
-    ones_idx = [i for i in range(a.rows) if b.entries[i] == o]
-    zeros_idx = [i for i in range(a.rows) if b.entries[i] == z]
-    if not ones_idx:
-        raise MembershipDetectedError("b is the zero vector, which equals A times zero")
-
-    q_cols = tuple(
-        j for j in range(a.cols) if all(a.entries[i][j] == z for i in zeros_idx)
+    c = _CARRIERS[tag]
+    z, o = c.zero, c.one
+    rows = [[e.value for e in row] for row in a.entries]
+    rhs = [e.value for e in b.entries]
+    z_rows = [row for row, x in zip(rows, rhs) if x == z]
+    m = [reduce(c.add, (row[j] for row in z_rows), z) for j in range(a.cols)]
+    for i, x in enumerate(rhs):
+        if x != z:
+            s = reduce(c.add, (y for y, mj in zip(rows[i], m) if mj == z), z)
+            if s != o:
+                break
+    else:
+        raise MembershipDetectedError("residuation solves A·w = b")
+    lam = o if s == z else c.inv(s)
+    heavy = reduce(
+        c.add,
+        (c.mul(c.mul(lam, x), c.inv(mj)) for x, mj in zip(rows[i], m) if x != z and mj != z),
+        o,
     )
-    p_cols = tuple(j for j in range(a.cols) if j not in set(q_cols))
-    k = len(ones_idx)
+    v_on_o = z if s == z else o
+    v = [heavy if x == z else v_on_o for x in rhs]
+    u = v[:i] + [lam] + v[i + 1 :]
+    return tuple(RowVec(tag, tuple(Element(tag, x) for x in w)) for w in (u, v))
 
-    def _sub(row_idx, col_idx) -> tuple[tuple[Element, ...], ...]:
-        return tuple(tuple(a.entries[i][j] for j in col_idx) for i in row_idx)
 
-    p_block = Matrix(tag, k, len(p_cols), _sub(ones_idx, p_cols))
-    q_block = Matrix(tag, k, len(q_cols), _sub(ones_idx, q_cols))
-    r_block = (
-        Matrix(tag, len(zeros_idx), len(p_cols), _sub(zeros_idx, p_cols))
-        if zeros_idx
-        else None
-    )
-    if r_block is not None:
-        for c in range(r_block.cols):
-            if all(e == z for e in r_block.col(c)):
-                raise InternalInvariantError("R acquired an all-zero column")
-    return BlockSplit(
-        k=k,
-        m=len(q_cols),
-        row_order=tuple(ones_idx + zeros_idx),
-        q_columns=q_cols,
-        p_columns=p_cols,
-        p_block=p_block,
-        q_block=q_block,
-        r_block=r_block,
-    )
+def _self_checked_pair(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
+    u, v = _closed_form_pair(a, b)
+    if not check_certificate(a, b, u, v):
+        raise InternalInvariantError("closed-form kernel pair failed validation")
+    return u, v
 
 
 def kernel_witness(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
     """Build a kernel pair refuting A·w = b for a column-stochastic min-plus system.
 
-    Preconditions: b has 0/1 entries and lies outside the right image of A
-    (screen with principal_solution first).  The construction splits the
-    system into blocks along the ones of b, takes L with L·Q = (1,...,1) and
-    L not below the ones row (arbitrary such L when Q is empty), and pads
-    both rows with a constant heavy enough to swamp the P and R blocks:
-    p = 1 + sum of the entries of P and of L·P, r = 1 + sum of the inverses
-    of the nonzero entries of R, and the padding value is p·r.  The returned
-    pair satisfies u·A = v·A and u·b = 1 != v·b.
-
-    Raises MembershipDetectedError when the block shape itself shows b to be
-    solvable (b = 0, or Q row-stochastic).
+    b must have 0/1 entries.  The pair is that of ``_closed_form_pair``,
+    checked before it is returned: u·A = v·A and u·b != v·b.  Raises
+    MembershipDetectedError when residuation solves the system (b = 0
+    included).
     """
     tag = a.tag
     desc = descriptor(tag)
@@ -185,53 +168,11 @@ def kernel_witness(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
         raise UnsupportedCarrierError("defined over idempotent carriers only")
     if not is_column_stochastic(a):
         raise NotApplicableError("matrix must be column-stochastic")
-
-    split = block_split(a, b)
-    k, d = split.k, a.rows
-    o = one(tag)
-
-    if split.m == 0:
-        lam = element_not_below_one(tag)
-        big_lambda = RowVec(tag, (lam,) + (o,) * (k - 1))
-    else:
-        if is_row_stochastic(split.q_block):
-            raise MembershipDetectedError(
-                "Q is row-stochastic: b equals A times the indicator of the Q columns"
-            )
-        big_lambda = alternative_ones_preimage(split.q_block)
-
-    p = o
-    for row in split.p_block.entries:
-        for e in row:
-            p = add(p, e)
-    for e in mat_mul(big_lambda, split.p_block).entries:
-        p = add(p, e)
-
-    r = o
-    if split.r_block is not None:
-        z = zero(tag)
-        for row in split.r_block.entries:
-            for e in row:
-                if e != z:
-                    r = add(r, inv(e))
-
-    heavy = mul(p, r)
-    u_permuted = [o] * k + [heavy] * (d - k)
-    v_permuted = list(big_lambda.entries) + [heavy] * (d - k)
-
-    u_entries = [o] * d
-    v_entries = [o] * d
-    for t, i in enumerate(split.row_order):
-        u_entries[i] = u_permuted[t]
-        v_entries[i] = v_permuted[t]
-    u = RowVec(tag, tuple(u_entries))
-    v = RowVec(tag, tuple(v_entries))
-
-    if not check_certificate(a, b, u, v):
-        raise InternalInvariantError(
-            "constructed pair failed validation; kernel_witness has a bug"
-        )
-    return u, v
+    if b.length != a.rows:
+        raise NotApplicableError("vector length must match the row count")
+    if any(e != zero(tag) and e != one(tag) for e in b.entries):
+        raise NotApplicableError("right-hand side must have 0/1 entries")
+    return _self_checked_pair(a, b)
 
 
 def boolean_kernel_witness(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
@@ -240,26 +181,15 @@ def boolean_kernel_witness(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
     Let Z be the rows where b is 0 and i the first row with b_i = 1 whose
     ones all lie in columns that meet Z.  Then u = e_i + 1_Z, v = 1_Z: A_i is
     below the join of the rows in Z, so u·A = v·A, while u·b = 1 != 0 = v·b.
-    When no such row exists, the indicator of the columns missing Z solves
-    A·w = b, so MembershipDetectedError is raised.
+    This is ``_closed_form_pair`` over the booleans, checked before it is
+    returned.  When no such row exists, the indicator of the columns missing
+    Z solves A·w = b, so MembershipDetectedError is raised.
     """
-    tag = a.tag
-    if descriptor(tag).carrier_size != "two":
+    if descriptor(a.tag).carrier_size != "two":
         raise UnsupportedCarrierError("the closed-form witness is boolean-only")
     if b.length != a.rows:
         raise NotApplicableError("vector length must match the row count")
-    z, o = zero(tag), one(tag)
-    z_rows = {k for k, e in enumerate(b.entries) if e == z}
-    supports = [{j for j, x in enumerate(row) if x != z} for row in a.entries]
-    meets_z = {j for k in z_rows for j in supports[k]}
-    missed = [i for i, cols in enumerate(supports) if i not in z_rows and cols <= meets_z]
-    if not missed:
-        raise MembershipDetectedError("the indicator of the columns missing Z solves A·w = b")
-    u = RowVec(tag, tuple(o if t in z_rows or t == missed[0] else z for t in range(a.rows)))
-    v = RowVec(tag, tuple(o if t in z_rows else z for t in range(a.rows)))
-    if not check_certificate(a, b, u, v):
-        raise InternalInvariantError("closed-form boolean pair failed validation")
-    return u, v
+    return _self_checked_pair(a, b)
 
 
 def non_exactness_instance(tag: SemiringTag | str) -> tuple[Matrix, ColVec]:

@@ -4,8 +4,9 @@ These work on raw payloads (bits, fractions, float infinity) rather than on
 Element arithmetic, so a bug in the carrier operations cannot hide a matching
 bug in the decision procedures.  ``gauss_jordan_reference`` is textbook
 elimination over Fractions, the reference for the solver's integer
-elimination; ``boolean_kernel_pair_reference`` is the 4^d pair search, the
-reference for the closed-form boolean witness.
+elimination; ``boolean_kernel_pair_reference`` is the 4^d pair search and
+``kernel_witness_reference`` the min-plus block construction, the references
+for the closed-form kernel pair.
 """
 
 from __future__ import annotations
@@ -148,6 +149,48 @@ def boolean_kernel_pair_reference(
             if u_cols == v_cols and u_b != v_b:
                 return u, v
     return None
+
+
+def kernel_witness_reference(a: Matrix, b: ColVec) -> Optional[tuple[list, list]]:
+    """The min-plus block construction of a kernel pair, on raw payloads.
+
+    For a column-stochastic A and b in {0,1}^d (numerals 0 and inf): put the
+    k rows with b_i = 0 first, split the columns into Q (inf on every other
+    row) and P, and let P, Q be the top blocks and R the bottom one.  Take L
+    with L·Q = (0,...,0) not below the zeros row: the negated row minima of
+    Q, or zeros with -1 at the first all-inf row of Q, or (-1, 0, ..., 0)
+    when Q is empty.  Pad both rows with heavy = p + r below, where
+    p = min(0, P, L·P) and r = min(0, -e over the finite e of R):
+    u = (0, ..., 0, heavy, ...), v = (L, heavy, ...), in the original row
+    order.  Returns None when b = inf or Q is row-stochastic, where b is
+    A times the indicator of the Q columns.
+    """
+    rows = raw_rows(a)
+    target = [row[0] for row in raw_rows(b)]
+    top = [i for i, x in enumerate(target) if x == 0]
+    bottom = [i for i, x in enumerate(target) if x == math.inf]
+    if not top:
+        return None
+    q_cols = [j for j in range(a.cols) if all(rows[i][j] == math.inf for i in bottom)]
+    p_cols = [j for j in range(a.cols) if j not in q_cols]
+    q_minima = [min((rows[i][j] for j in q_cols), default=math.inf) for i in top]
+    if not q_cols or math.inf in q_minima:
+        lam_at = q_minima.index(math.inf) if q_cols else 0
+        big_lambda = [-1 if t == lam_at else 0 for t in range(len(top))]
+    elif all(x == 0 for x in q_minima):
+        return None
+    else:
+        big_lambda = [-x for x in q_minima]
+    p_entries = [rows[i][j] for i in top for j in p_cols]
+    l_times_p = [min(x + rows[i][j] for x, i in zip(big_lambda, top)) for j in p_cols]
+    p = min([0, *p_entries, *l_times_p])
+    r = min([0, *(-rows[i][j] for i in bottom for j in p_cols if rows[i][j] != math.inf)])
+    heavy = p + r
+    u = [heavy] * a.rows
+    v = [heavy] * a.rows
+    for t, i in enumerate(top):
+        u[i], v[i] = 0, big_lambda[t]
+    return u, v
 
 
 def gauss_jordan_reference(

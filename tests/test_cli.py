@@ -119,7 +119,7 @@ def test_solve_refutation_exit_code(tmp_path):
     path = _write(tmp_path, "refuted.inst", REFUTED_INSTANCE)
     code, report = run_command(["solve", path])
     assert code == 1
-    assert report.splitlines() == ["REFUTATION", "u = 0 0", "v = -1 0"]
+    assert report.splitlines() == ["REFUTATION", "u = 0 0", "v = inf 0"]
 
 
 def test_solve_solution_exit_code(tmp_path):
@@ -133,7 +133,7 @@ def test_solve_kv_format(tmp_path):
     path = _write(tmp_path, "refuted.inst", REFUTED_INSTANCE)
     code, report = run_command(["solve", path, "--format", "kv"])
     assert code == 1
-    assert report.splitlines() == ["kind refutation", "u 0 0", "v -1 0"]
+    assert report.splitlines() == ["kind refutation", "u 0 0", "v inf 0"]
 
 
 def test_witness_reports_membership(tmp_path):
@@ -258,6 +258,16 @@ def test_reports_are_deterministic():
         ["verify", "tropical", "--trials", "0"],
         ["solve", str(DATA / "exponent_token.inst")],
         ["normalize", str(DATA / "no_columns_no_vector.inst")],
+        ["solve", str(DATA / "shape_underscore.inst")],
+        ["solve", str(DATA / "shape_plus_sign.inst")],
+        ["solve", str(DATA / "shape_arabic_indic_digit.inst")],
+        ["solve", str(DATA / "vector_length_underscore.inst")],
+        ["solve", str(DATA / "vector_length_plus_sign.inst")],
+        ["verify", "tropical", "--trials", "1_0"],
+        ["verify", "tropical", "--seed", "+2"],
+        ["verify", "tropical", "--seed", "1_2"],
+        ["verify", "tropical", "--trials", "\u0662"],
+        ["verify", "boolean", "--max-dim", "\u0662"],
     ],
 )
 def test_usage_errors_exit_two(argv):

@@ -114,3 +114,13 @@ def test_rational_column_stochastic_redraws_columns_summing_to_zero():
     tag = SemiringTag.RATIONAL
     a = random_column_stochastic(tag, 3, 3, Random(27), lambda r: random_element(tag, r))
     assert is_column_stochastic(a)
+
+
+def test_column_stochastic_without_rows_is_rejected_before_drawing():
+    """No column of a matrix without rows can sum to one, so nothing is drawn."""
+    rng = Random(1)
+    state = rng.getstate()
+    tag = SemiringTag.BOOLEAN
+    with pytest.raises(ValueError, match="0x2"):
+        random_column_stochastic(tag, 0, 2, rng, lambda r: random_element(tag, r))
+    assert rng.getstate() == state

@@ -5,6 +5,8 @@ from random import Random
 
 import pytest
 
+import semilin.solver
+import semilin.witness
 from semilin import (
     INF,
     ExtensionKind,
@@ -242,8 +244,10 @@ def test_membership_tropical_refutation_example():
     b = col_vec(T, [0, INF])
     result = membership_certified(a, b)
     assert result.kind is SolveKind.REFUTATION
+    # Z = {1} meets both columns, so s_0 = inf: u = e_0 + H·1_Z, v = H·1_Z with H = 0
     assert result.u == row_vec(T, [0, 0])
-    assert result.v == row_vec(T, [-1, 0])
+    assert result.v == row_vec(T, [INF, 0])
+    assert check_certificate(a, b, result.u, result.v)
 
 
 def test_membership_boolean_refutation_example():
@@ -255,6 +259,30 @@ def test_membership_boolean_refutation_example():
     assert result.u == row_vec(B, [1, 1])
     assert result.v == row_vec(B, [0, 1])
     assert check_certificate(a, b, result.u, result.v)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (matrix(T, [[1, 2], [0, 0]]), col_vec(T, [0, INF])),
+        (matrix(T, [[0], [5]]), col_vec(T, [3, 1])),
+        (matrix(B, [[1], [1]]), col_vec(B, [1, 0])),
+    ],
+    ids=["tropical-s-inf", "tropical-s-finite", "boolean"],
+)
+def test_refutation_is_checked_exactly_once(monkeypatch, a, b):
+    """_checked_refutation is the one check; the solver skips the wrappers' self-checks."""
+    calls = 0
+
+    def counting_check(*args):
+        nonlocal calls
+        calls += 1
+        return check_certificate(*args)
+
+    monkeypatch.setattr(semilin.solver, "check_certificate", counting_check)
+    monkeypatch.setattr(semilin.witness, "check_certificate", counting_check)
+    assert membership_certified(a, b).kind is SolveKind.REFUTATION
+    assert calls == 1
 
 
 @pytest.mark.parametrize("tag", [B, T, Q])

@@ -1,5 +1,11 @@
-"""Refutation constructions: preimage rows, block splits, kernel pairs, the probe."""
+"""Refutation constructions: preimage rows, the closed-form kernel pair, the probe.
 
+The one builder behind ``kernel_witness`` and ``boolean_kernel_witness`` is
+checked against two independent references in ``tests/oracles.py``: the 4^d
+boolean pair search and the min-plus block construction.
+"""
+
+import math
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -9,12 +15,13 @@ import pytest
 import semilin.witness
 from semilin import (
     INF,
+    ColVec,
+    Matrix,
     MembershipDetectedError,
     NotApplicableError,
     SemiringTag,
     TooFewElementsError,
     alternative_ones_preimage,
-    block_split,
     boolean_kernel_witness,
     check_certificate,
     col_vec,
@@ -24,14 +31,26 @@ from semilin import (
     kernel_witness,
     mat_mul,
     matrix,
+    mul,
     non_exactness_instance,
+    normalize,
     ones_row,
     principal_solution,
     row_vec,
+    unscale_certificate,
     vec_add,
 )
-from semilin.sampling import random_column_stochastic, random_zero_one_col
-from tests.oracles import boolean_kernel_pair_reference
+from semilin.sampling import (
+    random_column_stochastic,
+    random_nonzero_element,
+    random_zero_one_col,
+)
+from semilin.witness import _closed_form_pair
+from tests.oracles import (
+    boolean_kernel_pair_reference,
+    kernel_witness_reference,
+    mat_mul_reference,
+)
 
 T = SemiringTag.TROPICAL
 B = SemiringTag.BOOLEAN
@@ -82,72 +101,60 @@ def test_preimage_random_instances():
         checked += 1
 
 
-# --- block split ----------------------------------------------------------------
-
-
-def test_block_split_routes_zero_bottom_columns():
-    # column 0 has a zero bottom, column 1 does not
-    a = matrix(T, [[0, 1], [INF, 0]])
-    b = col_vec(T, [0, INF])
-    split = block_split(a, b)
-    assert split.k == 1 and split.m == 1
-    assert split.q_columns == (0,) and split.p_columns == (1,)
-    assert split.row_order == (0, 1)
-    assert split.r_block is not None
-    # R keeps no all-zero column
-    assert all(any(e != element(T, INF) for e in split.r_block.col(c)) for c in range(split.r_block.cols))
-
-
-def test_block_split_rejects_non_binary_rhs():
-    a = matrix(T, [[0], [0]])
-    with pytest.raises(NotApplicableError):
-        block_split(a, col_vec(T, [3, 0]))
-
-
-def test_block_split_zero_rhs_detects_membership():
-    a = matrix(T, [[0], [0]])
-    with pytest.raises(MembershipDetectedError):
-        block_split(a, col_vec(T, [INF, INF]))
-
-
 # --- kernel witness ---------------------------------------------------------------
 
 
+def test_kernel_witness_rejects_non_binary_rhs():
+    a = matrix(T, [[0], [0]])
+    with pytest.raises(NotApplicableError):
+        kernel_witness(a, col_vec(T, [3, 0]))
+
+
+def test_kernel_witness_zero_rhs_detects_membership():
+    a = matrix(T, [[0], [0]])
+    with pytest.raises(MembershipDetectedError):
+        kernel_witness(a, col_vec(T, [INF, INF]))
+
+
 def test_kernel_witness_m_zero_example():
+    # row 0 has no entry off the columns meeting Z = {1}: s_0 = inf, H = 0
     a = matrix(T, [[1, 2], [0, 0]])
     b = col_vec(T, [0, INF])
     u, v = kernel_witness(a, b)
     assert u == row_vec(T, [0, 0])
-    assert v == row_vec(T, [-1, 0])
+    assert v == row_vec(T, [INF, 0])
     assert mat_mul(u, a) == mat_mul(v, a) == row_vec(T, [0, 0])
     assert mat_mul(u, b) == element(T, 0)
-    assert mat_mul(v, b) == element(T, -1)
+    assert mat_mul(v, b) == element(T, INF)
+    assert check_certificate(a, b, u, v)
 
 
 def test_kernel_witness_second_example():
+    # H = min(0, 0 + 0 - 3, 0 + 2 - 0) = -3 dominates row 0 on both columns
     a = matrix(T, [[0, 2], [3, 0]])
     b = col_vec(T, [0, INF])
     u, v = kernel_witness(a, b)
-    assert u == row_vec(T, [0, -4])
-    assert v == row_vec(T, [-1, -4])
-    assert mat_mul(u, a) == mat_mul(v, a) == row_vec(T, [-1, -4])
+    assert u == row_vec(T, [0, -3])
+    assert v == row_vec(T, [INF, -3])
+    assert mat_mul(u, a) == mat_mul(v, a) == row_vec(T, [0, -3])
+    assert check_certificate(a, b, u, v)
 
 
 def test_kernel_witness_k_equals_d():
-    # b is all ones, so the M block is empty: u is the ones row, v the preimage
+    # b is all ones, so Z is empty: v is the ones row, u has s_1^-1 = -5 at the failing row
     a = matrix(T, [[0], [5]])
     b = col_vec(T, [0, 0])
     assert principal_solution(a, b) is None
     u, v = kernel_witness(a, b)
-    assert u == ones_row(T, 2)
+    assert u == row_vec(T, [0, -5])
+    assert v == ones_row(T, 2)
     assert check_certificate(a, b, u, v)
 
 
 def test_kernel_witness_detects_membership_via_q():
-    # Q is the full matrix and row-stochastic: b = A . indicator(q columns)
+    # column 0 misses Z = {1} and row 0 sums to 0 there: b = A . indicator(column 0)
     a = matrix(T, [[0, 1], [INF, 0]])
     b = col_vec(T, [0, INF])
-    # here q_columns = (0,) and Q = [[0]] is row-stochastic
     with pytest.raises(MembershipDetectedError):
         kernel_witness(a, b)
 
@@ -168,6 +175,55 @@ def test_kernel_witness_random_nonmembers():
         # a valid pair never coexists with a solution
         assert principal_solution(a, b) is None
         produced += 1
+
+
+def _scaled_tropical_systems(count: int, seed: int):
+    """Column-stochastic (A, b) with b in {0,1}, then scaled by random invertible diagonals."""
+    rng = Random(seed)
+    for _ in range(count):
+        d, n = rng.randint(1, 8), rng.randint(1, 8)
+        a = random_column_stochastic(
+            T, d, n, rng, lambda r: element(T, INF) if r.random() < 0.25 else element(T, r.randint(-9, 9))
+        )
+        b = random_zero_one_col(T, d, rng)
+        rs = [random_nonzero_element(T, rng) for _ in range(d)]
+        cs = [random_nonzero_element(T, rng) for _ in range(n)]
+        scaled = tuple(
+            tuple(mul(mul(rs[i], x), cs[j]) for j, x in enumerate(row)) for i, row in enumerate(a.entries)
+        )
+        yield Matrix(T, d, n, scaled), ColVec(T, tuple(mul(r, x) for r, x in zip(rs, b.entries)))
+
+
+def _raw_separates(a, b, u_raw, v_raw) -> bool:
+    u, v = (row_vec(T, [INF if x == math.inf else x for x in w]) for w in (u_raw, v_raw))
+    return mat_mul_reference(u, a) == mat_mul_reference(v, a) and (
+        mat_mul_reference(u, b) != mat_mul_reference(v, b)
+    )
+
+
+def test_kernel_witness_matches_block_reference():
+    """The closed form refutes exactly what residuation and the block construction refute.
+
+    Each pair is checked on the normalized system and, mapped back through
+    the row scaling, on the scaled one the solver would have been given.
+    """
+    refuted = members = 0
+    for a, b in _scaled_tropical_systems(2000, 611):
+        system = normalize(a, b)
+        a_norm, b_norm = system.a_norm, system.b_norm
+        reference = kernel_witness_reference(a_norm, b_norm)
+        if principal_solution(a_norm, b_norm) is not None:
+            assert reference is None
+            with pytest.raises(MembershipDetectedError):
+                _closed_form_pair(a_norm, b_norm)
+            members += 1
+            continue
+        assert reference is not None and _raw_separates(a_norm, b_norm, *reference)
+        u, v = _closed_form_pair(a_norm, b_norm)
+        assert check_certificate(a_norm, b_norm, u, v)
+        assert check_certificate(a, b, *unscale_certificate(system, u, v))
+        refuted += 1
+    assert refuted >= 500 and members >= 500
 
 
 # --- boolean closed-form witness ----------------------------------------------------
