@@ -122,12 +122,19 @@ def parse_instance(text: str) -> tuple[SemiringTag, Matrix, Optional[ColVec]]:
         # only the vector block's tokens can back the row count of such a matrix
         raise ParseError("a matrix with no columns needs a vector block", no)
 
+    parsed: dict[str, Element] = {}  # instance files repeat their tokens
+
+    def element_of(token: str) -> Element:
+        if token not in parsed:
+            parsed[token] = parse_element(tag, token)  # raises before caching a bad token
+        return parsed[token]
+
     def take_elements(what: str, count: int) -> tuple[Element, ...]:
         no, tokens = take(f"a {what} of {count} tokens")
         if len(tokens) != count:
             raise ParseError(f"expected {count} tokens, found {len(tokens)}", no)
         try:
-            return tuple(parse_element(tag, t) for t in tokens)
+            return tuple(map(element_of, tokens))
         except ValueError as exc:
             raise ParseError(str(exc), no) from None
 

@@ -7,13 +7,21 @@ that the right image of a zero-column matrix is {0}.
 The column-stochastic normal form lives here too: any system A·w = b over a
 zero-sum-free carrier scales to one whose columns sum to the multiplicative
 identity and whose right-hand side is a 0/1 vector, and the scalings are
-invertible diagonals, so answers map back exactly.
+invertible diagonals, so answers map back exactly.  It is computed on lists
+of raw payloads through the carrier record (``_normalize_raw``,
+``_unscaled``); ``normalize``, ``inflate_solution`` and
+``unscale_certificate`` are Element wrappers over those functions.  The
+solver feeds them an integer-scaled copy of an idempotent system
+(``_integer_scaled``): min-plus is homogeneous under x -> l·x for a positive
+integer l, so scaling by the lcm of the denominators leaves only ints and
+INF, and ``_unscaled`` divides the answer back by l.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -24,13 +32,14 @@ from .errors import (
 )
 from .semirings import (
     _CARRIERS,
+    INF,
+    Carrier,
     Element,
+    Payload,
     SemiringTag,
     add,
     descriptor,
     element,
-    inv,
-    mul,
     one,
     zero,
 )
@@ -250,6 +259,70 @@ class NormalizedSystem:
     original_cols: int
 
 
+def _values(entries: Iterable[Element]) -> list[Payload]:
+    return [e.value for e in entries]
+
+
+def _raw(a: Matrix, b: ColVec) -> tuple[list[list[Payload]], list[Payload]]:
+    return [_values(row) for row in a.entries], _values(b.entries)
+
+
+def _elements(tag: SemiringTag, values: Iterable[Payload]) -> tuple[Element, ...]:
+    return tuple(Element(tag, x) for x in values)
+
+
+def _check_system(a: Matrix, b: ColVec) -> None:
+    if a.tag is not b.tag:
+        raise TagMismatchError("matrix and vector carriers differ")
+    if b.length != a.rows:
+        raise DimensionMismatchError(f"matrix has {a.rows} rows, vector has {b.length}")
+
+
+def _integer_scaled(a: Matrix, b: ColVec) -> tuple[int, Payload, list[list], list]:
+    """(l, one, A, b): an idempotent system times the lcm l of the finite
+    denominators of [A | b], as raw payloads, and the carrier's one scaled."""
+    rows, rhs = _raw(a, b)
+    # a set, not a generator: a tuple built from a generator is resized, and
+    # freed tuples of its length then pile up on the interpreter's free lists
+    l = lcm(*{x.denominator for row in (*rows, rhs) for x in row if x is not INF})
+
+    def scale(x: Payload) -> Payload:
+        return x if x is INF else x.numerator * (l // x.denominator)
+
+    one = scale(_CARRIERS[a.tag].one)
+    return l, one, [list(map(scale, row)) for row in rows], list(map(scale, rhs))
+
+
+def _normalize_raw(c: Carrier, one: Payload, rows: list[list], rhs: list) -> tuple:
+    """(a_norm, b_norm, row_scale, col_scale, kept_columns) of ``normalize``,
+    raw; ``one`` is the carrier's one in the units of the payloads."""
+    z = c.zero
+    kept = [j for j, col in enumerate(zip(*rows)) if any(x != z for x in col)]
+    beta = [one if x == z else x for x in rhs]
+    beta_inv = list(map(c.inv, beta))
+    scaled = [[c.mul(s, row[j]) for j in kept] for s, row in zip(beta_inv, rows)]
+    alpha = [reduce(c.add, col, z) for col in zip(*scaled)]
+    if z in alpha:
+        raise InternalInvariantError("zero column sum despite zero-sum-freeness")
+    alpha_inv = list(map(c.inv, alpha))
+    a_norm = [list(map(c.mul, row, alpha_inv)) for row in scaled]
+    b_norm = list(map(c.mul, beta_inv, rhs))
+    if any(reduce(c.add, col, z) != one for col in zip(*a_norm)):
+        raise InternalInvariantError("normalized matrix is not column-stochastic")
+    if any(x != z and x != one for x in b_norm):
+        raise InternalInvariantError("normalized right-hand side is not 0/1")
+    return a_norm, b_norm, beta, alpha, kept
+
+
+def _unscaled(c: Carrier, l: int, scales, at, size: int, values) -> list[Payload]:
+    """x_k·scales_k^-1 / l at position at[k] of a zero vector: a normalized
+    solution (at = kept columns) or kernel-pair row back in the caller's units."""
+    full = [c.zero] * size
+    for k, s, x in zip(at, scales, values):
+        full[k] = c.unscale(c.mul(c.inv(s), x), l)
+    return full
+
+
 def normalize(a: Matrix, b: ColVec) -> NormalizedSystem:
     """Scale a system over a zero-sum-free carrier to column-stochastic form.
 
@@ -257,56 +330,27 @@ def normalize(a: Matrix, b: ColVec) -> NormalizedSystem:
     b_i = 0) and then each remaining column by the inverse of its sum; the
     sums are nonzero precisely because the carrier is zero-sum free.
     """
+    _check_system(a, b)
     tag = a.tag
-    if b.tag is not tag:
-        raise TagMismatchError("matrix and vector carriers differ")
-    if b.length != a.rows:
-        raise DimensionMismatchError(f"matrix has {a.rows} rows, vector has {b.length}")
     if not descriptor(tag).is_zero_sum_free:
         raise NotZeroSumFreeError(f"the {tag.value} carrier is not zero-sum free")
-
-    z = zero(tag)
-    kept = tuple(j for j in range(a.cols) if any(a.entries[i][j] != z for i in range(a.rows)))
-    beta = tuple(b.entries[i] if b.entries[i] != z else one(tag) for i in range(a.rows))
-    beta_inv = tuple(inv(x) for x in beta)
-
-    scaled_rows = tuple(
-        tuple(mul(beta_inv[i], a.entries[i][j]) for j in kept) for i in range(a.rows)
-    )
-    alpha = tuple(
-        _sum(tag, (scaled_rows[i][c] for i in range(a.rows))) for c in range(len(kept))
-    )
-    if any(x == z for x in alpha):
-        raise InternalInvariantError("zero column sum despite zero-sum-freeness")
-    alpha_inv = tuple(inv(x) for x in alpha)
-
-    a_norm = Matrix(
-        tag,
-        a.rows,
-        len(kept),
-        tuple(
-            tuple(mul(scaled_rows[i][c], alpha_inv[c]) for c in range(len(kept)))
-            for i in range(a.rows)
-        ),
-    )
-    b_norm = ColVec(tag, tuple(mul(beta_inv[i], b.entries[i]) for i in range(a.rows)))
-
-    if not is_column_stochastic(a_norm):
-        raise InternalInvariantError("normalized matrix is not column-stochastic")
-    if any(e != z and e != one(tag) for e in b_norm.entries):
-        raise InternalInvariantError("normalized right-hand side is not 0/1")
-    return NormalizedSystem(a_norm, b_norm, beta, alpha, kept, a.cols)
+    c = _CARRIERS[tag]
+    a_norm, b_norm, beta, alpha, kept = _normalize_raw(c, c.one, *_raw(a, b))
+    a_norm = Matrix(tag, a.rows, len(kept), tuple(_elements(tag, row) for row in a_norm))
+    b_norm, beta, alpha = (_elements(tag, x) for x in (b_norm, beta, alpha))
+    return NormalizedSystem(a_norm, ColVec(tag, b_norm), beta, alpha, tuple(kept), a.cols)
 
 
 def inflate_solution(system: NormalizedSystem, w_norm: ColVec) -> ColVec:
     """Map a normalized solution back: w = D^-1 · w_norm, dropped columns get 0."""
     tag = system.a_norm.tag
+    if w_norm.tag is not tag:
+        raise TagMismatchError("solution and system carriers differ")
     if w_norm.length != len(system.kept_columns):
         raise DimensionMismatchError("solution length does not match kept columns")
-    full = [zero(tag)] * system.original_cols
-    for c, j in enumerate(system.kept_columns):
-        full[j] = mul(inv(system.col_scale[c]), w_norm.entries[c])
-    return ColVec(tag, tuple(full))
+    scales, kept, cols = _values(system.col_scale), system.kept_columns, system.original_cols
+    w = _unscaled(_CARRIERS[tag], 1, scales, kept, cols, _values(w_norm.entries))
+    return ColVec(tag, _elements(tag, w))
 
 
 def unscale_certificate(
@@ -314,9 +358,11 @@ def unscale_certificate(
 ) -> tuple[RowVec, RowVec]:
     """Map a normalized kernel pair back: (u, v) = (u_norm · C^-1, v_norm · C^-1)."""
     tag = system.a_norm.tag
-    beta_inv = tuple(inv(x) for x in system.row_scale)
-    if u_norm.length != len(beta_inv) or v_norm.length != len(beta_inv):
+    d = len(system.row_scale)
+    if u_norm.tag is not tag or v_norm.tag is not tag:
+        raise TagMismatchError("certificate and system carriers differ")
+    if u_norm.length != d or v_norm.length != d:
         raise DimensionMismatchError("certificate length does not match row count")
-    u = RowVec(tag, tuple(mul(x, s) for x, s in zip(u_norm.entries, beta_inv)))
-    v = RowVec(tag, tuple(mul(x, s) for x, s in zip(v_norm.entries, beta_inv)))
-    return u, v
+    c, scales = _CARRIERS[tag], _values(system.row_scale)
+    u, v = (_unscaled(c, 1, scales, range(d), d, _values(w.entries)) for w in (u_norm, v_norm))
+    return RowVec(tag, _elements(tag, u)), RowVec(tag, _elements(tag, v))

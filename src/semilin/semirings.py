@@ -220,9 +220,10 @@ class Carrier:
     """One carrier's payloads and operations; all fields act on raw payloads.
 
     ``inv`` is never called on ``zero``; ``check`` is the Element invariant;
-    ``parse`` takes a stripped token and raises ValueError on a bad one;
-    ``random`` and ``random_nonzero`` are the samplers' draws, in a fixed RNG
-    order so that seeded runs reproduce.
+    ``unscale(x, l)`` is the payload x/l of an integer-scaled payload x (INF
+    stays INF); ``parse`` takes a stripped token and raises ValueError on a
+    bad one; ``random`` and ``random_nonzero`` are the samplers' draws, in a
+    fixed RNG order so that seeded runs reproduce.
     """
 
     descriptor: SemiringDescriptor
@@ -236,6 +237,7 @@ class Carrier:
     format: Callable[[Payload], str]
     random: Callable[[Random], Payload]
     random_nonzero: Callable[[Random], Payload]
+    unscale: Callable[[Payload, int], Payload] = Fraction
 
 
 # --- token grammar, shared with the CLI instance format ---------------------
@@ -298,6 +300,7 @@ _CARRIERS = {
         format=str,
         random=lambda rng: rng.randint(0, 1),
         random_nonzero=lambda rng: 1,
+        unscale=lambda x, l: x,  # bits have denominator 1, so l is 1
     ),
     SemiringTag.TROPICAL: Carrier(
         SemiringDescriptor(
@@ -318,6 +321,7 @@ _CARRIERS = {
         format=lambda x: "inf" if x is INF else _format_fraction(x),
         random=lambda rng: INF if rng.random() < 0.125 else Fraction(rng.randint(-9, 9)),
         random_nonzero=lambda rng: Fraction(rng.randint(-5, 5)),
+        unscale=lambda x, l: x if x is INF else Fraction(x, l),
     ),
     SemiringTag.NONNEG_RATIONAL: Carrier(
         SemiringDescriptor(

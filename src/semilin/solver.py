@@ -8,12 +8,16 @@ against the caller's original (A, b); a failed check raises
 ``InternalInvariantError`` instead of returning.  That is the only check on an
 emitted answer: the CLI and the verification suites do not repeat it.
 Over the boolean, tropical and rational carriers exactly one of the two is
-returned for every system.  The rational carriers are decided by exact
-elimination, ``_row_reduce``: fraction-free Gauss-Jordan on integer-scaled
-rows, which also yields the refutation row and the null basis.  The
-nonnegative-rational carrier admits a third outcome, NO_SOLUTION, for systems
-proved unsolvable by exact elimination yet having no kernel pair, plus
-UNDECIDED when a bounded search is inconclusive.
+returned for every system.  The idempotent carriers are decided on raw
+payloads: [A | b] is scaled by the lcm l of its denominators (min-plus is
+homogeneous under x -> l·x), normalized, residuated and, on failure, refuted
+by the closed-form kernel pair, all on ints and INF; Elements are built only
+for the returned vectors, divided back by l.  The rational carriers are
+decided by exact elimination, ``_row_reduce``: fraction-free Gauss-Jordan on
+integer-scaled rows, which also yields the refutation row and the null
+basis.  The nonnegative-rational carrier admits a third outcome,
+NO_SOLUTION, for systems proved unsolvable by exact elimination yet having no
+kernel pair, plus UNDECIDED when a bounded search is inconclusive.
 
 ``extend_functional`` turns the same machinery into an extension engine for
 functionals given by their values on the rows of a generator matrix.
@@ -24,15 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from itertools import islice, product
 from math import lcm
 from typing import Optional
 
 from .errors import (
-    DimensionMismatchError,
     InternalInvariantError,
     MembershipDetectedError,
-    TagMismatchError,
     UnsupportedCarrierError,
     ZeroColumnError,
 )
@@ -40,15 +43,18 @@ from .matrices import (
     ColVec,
     Matrix,
     RowVec,
-    inflate_solution,
+    _check_system,
+    _elements,
+    _integer_scaled,
+    _normalize_raw,
+    _raw,
+    _unscaled,
     mat_mul,
-    normalize,
     unit_row,
-    unscale_certificate,
     zeros_col,
     zeros_row,
 )
-from .semirings import _CARRIERS, Element, SemiringTag, descriptor, inv, mul, nat_geq, zero
+from .semirings import _CARRIERS, Carrier, Element, Payload, SemiringTag, descriptor, zero
 from .witness import _closed_form_pair, check_certificate
 
 
@@ -99,20 +105,19 @@ class ExtensionResult:
     detail: str = ""
 
 
-def _check_system(a: Matrix, b: ColVec) -> None:
-    if a.tag is not b.tag:
-        raise TagMismatchError("matrix and vector carriers differ")
-    if b.length != a.rows:
-        raise DimensionMismatchError(f"matrix has {a.rows} rows, vector has {b.length}")
-
-
-def _nat_meet(items: list[Element]) -> Element:
-    """Greatest lower bound in the natural order of a nonempty chain sample."""
-    m = items[0]
-    for x in items[1:]:
-        if nat_geq(m, x):
-            m = x
-    return m
+def _residuate(c: Carrier, rows: list[list], rhs: list) -> Optional[list[Payload]]:
+    """``principal_solution`` on raw payloads.  Over a chain the meet of the
+    A_ij^-1·b_i is (sum of A_ij·b_i^-1)^-1, or 0 if one of the b_i is 0."""
+    z = c.zero
+    b_inv = [None if x == z else c.inv(x) for x in rhs]
+    xhat = []
+    for j, col in enumerate(zip(*rows)):
+        terms = [None if s is None else c.mul(x, s) for x, s in zip(col, b_inv) if x != z]
+        if not terms:
+            raise ZeroColumnError(f"column {j} is entirely zero; strip zero columns first")
+        xhat.append(z if None in terms else c.inv(reduce(c.add, terms)))
+    solves = all(reduce(c.add, map(c.mul, row, xhat), z) == x for row, x in zip(rows, rhs))
+    return xhat if solves else None
 
 
 def principal_solution(a: Matrix, b: ColVec) -> Optional[ColVec]:
@@ -127,19 +132,8 @@ def principal_solution(a: Matrix, b: ColVec) -> Optional[ColVec]:
     tag = a.tag
     if not descriptor(tag).is_idempotent:
         raise UnsupportedCarrierError("residuation needs an idempotent totally ordered carrier")
-    z = zero(tag)
-    entries = []
-    for j in range(a.cols):
-        candidates = [
-            mul(inv(a.entries[i][j]), b.entries[i])
-            for i in range(a.rows)
-            if a.entries[i][j] != z
-        ]
-        if not candidates:
-            raise ZeroColumnError(f"column {j} is entirely zero; strip zero columns first")
-        entries.append(_nat_meet(candidates))
-    xhat = ColVec(tag, tuple(entries))
-    return xhat if mat_mul(a, xhat) == b else None
+    xhat = _residuate(_CARRIERS[tag], *_raw(a, b))
+    return None if xhat is None else ColVec(tag, _elements(tag, xhat))
 
 
 # --- exact rational elimination ---------------------------------------------
@@ -314,14 +308,16 @@ def _eliminate(a: Matrix, b: ColVec) -> CertifiedSolveResult:
 def membership_certified(a: Matrix, b: ColVec) -> CertifiedSolveResult:
     """Decide b in right-im A with a certificate, routed as the exactness theorem.
 
-    A ring (has -1): exact elimination.  Idempotent: normalize to
+    A ring (has -1): exact elimination.  Idempotent: scale [A | b] by the
+    lcm l of its denominators (l = 1 over the booleans), normalize to
     column-stochastic form, residuate, and on failure build the closed-form
     kernel pair of the failing row, the same formula on every idempotent
-    carrier, which maps back through the inverse scalings.  Neither (the
+    carrier; the answer maps back through the inverse scalings and a
+    division by l.  All of this runs on raw payloads.  Neither (the
     nonnegative rationals): elimination plus a bounded search.  Every
-    Solution and Refutation is checked against the caller's (A, b) before it
-    is returned, and that is the only check, so callers need not check it
-    again.
+    Solution and Refutation is checked against the caller's own (A, b), never
+    the scaled copy, before it is returned, and that is the only check, so
+    callers need not check it again.
     """
     _check_system(a, b)
     tag = a.tag
@@ -338,18 +334,21 @@ def membership_certified(a: Matrix, b: ColVec) -> CertifiedSolveResult:
         i = next(i for i in range(a.rows) if b.entries[i] != z)
         return _checked_refutation(a, b, unit_row(tag, a.rows, i), zeros_row(tag, a.rows))
 
-    system = normalize(a, b)
-    xhat = principal_solution(system.a_norm, system.b_norm)
+    c = _CARRIERS[tag]
+    l, o, rows, rhs = _integer_scaled(a, b)
+    a_norm, b_norm, beta, alpha, kept = _normalize_raw(c, o, rows, rhs)
+    xhat = _residuate(c, a_norm, b_norm)
     if xhat is not None:
-        return _checked_solution(a, b, inflate_solution(system, xhat))
+        w = _unscaled(c, l, alpha, kept, a.cols, xhat)
+        return _checked_solution(a, b, ColVec(tag, _elements(tag, w)))
     try:
-        u_norm, v_norm = _closed_form_pair(system.a_norm, system.b_norm)
+        pair = _closed_form_pair(c, o, a_norm, b_norm)
     except MembershipDetectedError as exc:
         raise InternalInvariantError(
             f"residuation found no solution but the witness builder found one: {exc}"
         ) from exc
-    u, v = unscale_certificate(system, u_norm, v_norm)
-    return _checked_refutation(a, b, u, v)
+    u, v = (_elements(tag, _unscaled(c, l, beta, range(a.rows), a.rows, w)) for w in pair)
+    return _checked_refutation(a, b, RowVec(tag, u), RowVec(tag, v))
 
 
 def extend_functional(g: Matrix, values: ColVec) -> ExtensionResult:

@@ -12,8 +12,9 @@ carriers from the nonnegative-rational one.
 
 The public constructions check their own postconditions and raise
 InternalInvariantError on violation: a failure here is a bug, never a
-property of the input.  The solver calls the builder unchecked, because it
-checks every answer against the caller's original system itself.
+property of the input.  The solver calls the builder unchecked, on the raw
+rows of an integer-scaled copy, because it checks every answer against the
+caller's original system itself.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .matrices import (
     ColVec,
     Matrix,
     RowVec,
+    _elements,
+    _raw,
     is_column_stochastic,
     is_row_stochastic,
     mat_mul,
@@ -40,13 +43,13 @@ from .matrices import (
 )
 from .semirings import (
     _CARRIERS,
-    Element,
+    Carrier,
+    Payload,
     SemiringTag,
     add,
     descriptor,
     element_not_below_one,
     inv,
-    mul,
     one,
     zero,
 )
@@ -98,8 +101,8 @@ def alternative_ones_preimage(a: Matrix) -> RowVec:
     return result
 
 
-def _closed_form_pair(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
-    """Kernel pair of a normalized system over an idempotent carrier, unchecked.
+def _closed_form_pair(c: Carrier, one: Payload, rows: list[list], rhs: list) -> tuple[list, list]:
+    """Kernel pair of a normalized idempotent system on raw payloads, unchecked.
 
     With Z the rows where b is 0, O the rows where it is 1 and
     m_j = sum of A_kj over k in Z, residuation gives 1 on the columns with
@@ -112,18 +115,15 @@ def _closed_form_pair(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
     stochasticity puts a 1 in some other row of O and lam·A_ij <= lam·s_i = 1.
     So u·A = v·A, while u·b = 1 != 0 = v·b or u·b = lam != 1 = v·b.  The
     arithmetic is the carrier's own; over the two-element carrier s_i = 0
-    and H = 1, which leaves u = e_i + 1_Z, v = 1_Z.
+    and H = 1, which leaves u = e_i + 1_Z, v = 1_Z.  ``one`` is the carrier's
+    one in the units of the payloads, which may be integer-scaled.
 
     Raises MembershipDetectedError when no row fails: residuation then solves
     A·w = b.
     """
-    tag = a.tag
-    c = _CARRIERS[tag]
-    z, o = c.zero, c.one
-    rows = [[e.value for e in row] for row in a.entries]
-    rhs = [e.value for e in b.entries]
+    z, o = c.zero, one
     z_rows = [row for row, x in zip(rows, rhs) if x == z]
-    m = [reduce(c.add, (row[j] for row in z_rows), z) for j in range(a.cols)]
+    m = [reduce(c.add, (row[j] for row in z_rows), z) for j in range(len(rows[0]))]
     for i, x in enumerate(rhs):
         if x != z:
             s = reduce(c.add, (y for y, mj in zip(rows[i], m) if mj == z), z)
@@ -139,12 +139,12 @@ def _closed_form_pair(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
     )
     v_on_o = z if s == z else o
     v = [heavy if x == z else v_on_o for x in rhs]
-    u = v[:i] + [lam] + v[i + 1 :]
-    return tuple(RowVec(tag, tuple(Element(tag, x) for x in w)) for w in (u, v))
+    return v[:i] + [lam] + v[i + 1 :], v
 
 
 def _self_checked_pair(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
-    u, v = _closed_form_pair(a, b)
+    c = _CARRIERS[a.tag]
+    u, v = (RowVec(a.tag, _elements(a.tag, w)) for w in _closed_form_pair(c, c.one, *_raw(a, b)))
     if not check_certificate(a, b, u, v):
         raise InternalInvariantError("closed-form kernel pair failed validation")
     return u, v

@@ -6,17 +6,41 @@ bug in the decision procedures.  ``gauss_jordan_reference`` is textbook
 elimination over Fractions, the reference for the solver's integer
 elimination; ``boolean_kernel_pair_reference`` is the 4^d pair search and
 ``kernel_witness_reference`` the min-plus block construction, the references
-for the closed-form kernel pair.
+for the closed-form kernel pair.  ``idempotent_membership_reference`` is the
+one exception: the solver's former Element-level pipeline for the idempotent
+carriers, kept verbatim as the reference for its integer-scaled raw core.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from typing import Optional
 
-from semilin import INF, ColVec, Matrix, RowVec
+from semilin import (
+    INF,
+    ColVec,
+    Element,
+    InternalInvariantError,
+    Matrix,
+    MembershipDetectedError,
+    RowVec,
+    add,
+    inv,
+    is_column_stochastic,
+    mat_mul,
+    mul,
+    nat_geq,
+    one,
+    unit_row,
+    zero,
+    zeros_col,
+    zeros_row,
+)
+from semilin.semirings import _CARRIERS
 
 
 def _raw_tropical(e) -> Fraction | float:
@@ -250,3 +274,140 @@ def gauss_jordan_reference(
             vec[c] = -m[idx][f]
         null_basis.append(vec)
     return solution, None, null_basis
+
+
+# --- the Element-level idempotent pipeline ---------------------------------------
+
+
+@dataclass(frozen=True)
+class _Normalized:
+    a_norm: Matrix
+    b_norm: ColVec
+    row_scale: tuple[Element, ...]
+    col_scale: tuple[Element, ...]
+    kept_columns: tuple[int, ...]
+    original_cols: int
+
+
+def _normalize(a: Matrix, b: ColVec) -> _Normalized:
+    tag = a.tag
+    z = zero(tag)
+    kept = tuple(j for j in range(a.cols) if any(a.entries[i][j] != z for i in range(a.rows)))
+    beta = tuple(b.entries[i] if b.entries[i] != z else one(tag) for i in range(a.rows))
+    beta_inv = tuple(inv(x) for x in beta)
+
+    scaled_rows = tuple(
+        tuple(mul(beta_inv[i], a.entries[i][j]) for j in kept) for i in range(a.rows)
+    )
+    alpha = tuple(
+        reduce(add, (scaled_rows[i][c] for i in range(a.rows)), z) for c in range(len(kept))
+    )
+    alpha_inv = tuple(inv(x) for x in alpha)
+
+    a_norm = Matrix(
+        tag,
+        a.rows,
+        len(kept),
+        tuple(
+            tuple(mul(scaled_rows[i][c], alpha_inv[c]) for c in range(len(kept)))
+            for i in range(a.rows)
+        ),
+    )
+    b_norm = ColVec(tag, tuple(mul(beta_inv[i], b.entries[i]) for i in range(a.rows)))
+    assert is_column_stochastic(a_norm)
+    return _Normalized(a_norm, b_norm, beta, alpha, kept, a.cols)
+
+
+def _nat_meet(items: list[Element]) -> Element:
+    m = items[0]
+    for x in items[1:]:
+        if nat_geq(m, x):
+            m = x
+    return m
+
+
+def _principal_solution(a: Matrix, b: ColVec) -> Optional[ColVec]:
+    tag = a.tag
+    z = zero(tag)
+    entries = []
+    for j in range(a.cols):
+        candidates = [
+            mul(inv(a.entries[i][j]), b.entries[i])
+            for i in range(a.rows)
+            if a.entries[i][j] != z
+        ]
+        entries.append(_nat_meet(candidates))
+    xhat = ColVec(tag, tuple(entries))
+    return xhat if mat_mul(a, xhat) == b else None
+
+
+def _inflate_solution(system: _Normalized, w_norm: ColVec) -> ColVec:
+    tag = system.a_norm.tag
+    full = [zero(tag)] * system.original_cols
+    for c, j in enumerate(system.kept_columns):
+        full[j] = mul(inv(system.col_scale[c]), w_norm.entries[c])
+    return ColVec(tag, tuple(full))
+
+
+def _unscale_certificate(
+    system: _Normalized, u_norm: RowVec, v_norm: RowVec
+) -> tuple[RowVec, RowVec]:
+    tag = system.a_norm.tag
+    beta_inv = tuple(inv(x) for x in system.row_scale)
+    u = RowVec(tag, tuple(mul(x, s) for x, s in zip(u_norm.entries, beta_inv)))
+    v = RowVec(tag, tuple(mul(x, s) for x, s in zip(v_norm.entries, beta_inv)))
+    return u, v
+
+
+def _closed_form_pair(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
+    tag = a.tag
+    c = _CARRIERS[tag]
+    z, o = c.zero, c.one
+    rows = [[e.value for e in row] for row in a.entries]
+    rhs = [e.value for e in b.entries]
+    z_rows = [row for row, x in zip(rows, rhs) if x == z]
+    m = [reduce(c.add, (row[j] for row in z_rows), z) for j in range(a.cols)]
+    for i, x in enumerate(rhs):
+        if x != z:
+            s = reduce(c.add, (y for y, mj in zip(rows[i], m) if mj == z), z)
+            if s != o:
+                break
+    else:
+        raise MembershipDetectedError("residuation solves A·w = b")
+    lam = o if s == z else c.inv(s)
+    heavy = reduce(
+        c.add,
+        (c.mul(c.mul(lam, x), c.inv(mj)) for x, mj in zip(rows[i], m) if x != z and mj != z),
+        o,
+    )
+    v_on_o = z if s == z else o
+    v = [heavy if x == z else v_on_o for x in rhs]
+    u = v[:i] + [lam] + v[i + 1 :]
+    return tuple(RowVec(tag, tuple(Element(tag, x) for x in w)) for w in (u, v))
+
+
+def idempotent_membership_reference(
+    a: Matrix, b: ColVec
+) -> tuple[str, Optional[ColVec], Optional[RowVec], Optional[RowVec]]:
+    """(kind, w, u, v) of a boolean or min-plus system, over Elements and unscaled.
+
+    The zero shortcuts, then normalize -> principal_solution ->
+    inflate_solution, or the closed-form pair -> unscale_certificate, as the
+    solver ran them before its raw core; answers are not checked here.
+    """
+    tag = a.tag
+    z = zero(tag)
+    if all(e == z for e in b.entries):
+        return "solution", zeros_col(tag, a.cols), None, None
+    if all(e == z for row in a.entries for e in row):
+        i = next(i for i in range(a.rows) if b.entries[i] != z)
+        return "refutation", None, unit_row(tag, a.rows, i), zeros_row(tag, a.rows)
+    system = _normalize(a, b)
+    xhat = _principal_solution(system.a_norm, system.b_norm)
+    if xhat is not None:
+        return "solution", _inflate_solution(system, xhat), None, None
+    try:
+        u_norm, v_norm = _closed_form_pair(system.a_norm, system.b_norm)
+    except MembershipDetectedError as exc:
+        raise InternalInvariantError(f"residuation and the pair disagree: {exc}") from exc
+    return "refutation", None, *_unscale_certificate(system, u_norm, v_norm)

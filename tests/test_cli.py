@@ -70,6 +70,7 @@ def test_parse_matrix_only_instance():
         ("semiring tropical\nmatrix 1\n0\n", 2),
         ("semiring tropical\nmatrix 1 2\n0\n", 3),
         ("semiring tropical\nmatrix 1 1\nx\n", 3),
+        ("semiring tropical\nmatrix 2 2\n0 x\nx 0\n", 3),
         ("semiring tropical\nmatrix 1 1\n0\nvector 2\n0 0\n", 4),
         ("semiring tropical\nmatrix 1 1\n0\nvector 1\n0\njunk\n", 6),
         ("semiring boolean\nmatrix 1 1\n2\n", 3),
@@ -95,6 +96,20 @@ def test_format_round_trips_canonically():
             tag2, a2, b2 = parse_instance(text)
             assert (tag2, a2, b2) == (tag, a, b)
             assert format_instance(tag2, a2, b2) == text
+
+
+@pytest.mark.parametrize(
+    "tag, pool",
+    [(T, [INF, 0, "1/6", "-5/7", 3]), (Q, [0, "-1/2", "2/3", 7])],
+    ids=["tropical", "rational"],
+)
+def test_round_trip_with_repeated_tokens(tag, pool):
+    rng = Random(403)
+    rows = [[rng.choice(pool) for _ in range(12)] for _ in range(12)]
+    a, b = matrix(tag, rows), col_vec(tag, [rng.choice(pool) for _ in range(12)])
+    text = format_instance(tag, a, b)
+    assert len(set(text.split())) < 20  # every token repeats
+    assert parse_instance(text) == (tag, a, b)
 
 
 def test_zero_column_matrix_round_trips():
@@ -310,22 +325,17 @@ SOLVABLE_INSTANCE = "semiring tropical\nmatrix 2 2\n0 2\n3 0\nvector 2\n1 0\n"
 
 @pytest.fixture
 def corrupted_answers(monkeypatch):
-    """Make the tropical/boolean path hand wrong answers to the solver's final check."""
+    """Make the tropical/boolean path hand wrong answers to the solver's final check.
+
+    The corruption sits in the raw unscaling step the solver calls on every
+    normalized answer, just before the check.
+    """
     import semilin.solver as solver
-    from semilin.matrices import zeros_col
 
-    real_inflate, real_unscale = solver.inflate_solution, solver.unscale_certificate
+    def zeros(c, l, scales, at, size, values):
+        return [c.zero] * size  # w = 0 does not reproduce b; u = v = 0 does not separate it
 
-    def wrong_solution(system, w_norm):
-        w = real_inflate(system, w_norm)
-        return zeros_col(w.tag, w.length)
-
-    def trivial_pair(system, u_norm, v_norm):
-        u, _ = real_unscale(system, u_norm, v_norm)
-        return u, u
-
-    monkeypatch.setattr(solver, "inflate_solution", wrong_solution)
-    monkeypatch.setattr(solver, "unscale_certificate", trivial_pair)
+    monkeypatch.setattr(solver, "_unscaled", zeros)
 
 
 @pytest.mark.parametrize(

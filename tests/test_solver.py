@@ -1,6 +1,7 @@
 """Membership decisions: residuation, exact elimination, certificates, extension."""
 
 from fractions import Fraction
+from itertools import chain
 from random import Random
 
 import pytest
@@ -36,7 +37,12 @@ from semilin.sampling import (
     random_zero_one_col,
 )
 from semilin.solver import _row_reduce
-from tests.oracles import boolean_member, gauss_jordan_reference, tropical_member_grid
+from tests.oracles import (
+    boolean_member,
+    gauss_jordan_reference,
+    idempotent_membership_reference,
+    tropical_member_grid,
+)
 
 T = SemiringTag.TROPICAL
 B = SemiringTag.BOOLEAN
@@ -283,6 +289,92 @@ def test_refutation_is_checked_exactly_once(monkeypatch, a, b):
     monkeypatch.setattr(semilin.witness, "check_certificate", counting_check)
     assert membership_certified(a, b).kind is SolveKind.REFUTATION
     assert calls == 1
+
+
+TROPICAL_L6 = matrix(T, [["1/2", "1/3"], [0, "5/6"]])
+
+
+@pytest.mark.parametrize(
+    "a, b, kind",
+    [
+        (TROPICAL_L6, col_vec(T, ["1/2", 0]), SolveKind.SOLUTION),
+        (TROPICAL_L6, col_vec(T, ["1/2", INF]), SolveKind.REFUTATION),
+        (matrix(B, [[1, 0], [1, 1]]), col_vec(B, [1, 1]), SolveKind.SOLUTION),
+        (matrix(B, [[1], [1]]), col_vec(B, [1, 0]), SolveKind.REFUTATION),
+    ],
+    ids=["tropical-solution", "tropical-refutation", "boolean-solution", "boolean-refutation"],
+)
+def test_answer_is_checked_once_against_the_callers_system(monkeypatch, a, b, kind):
+    """The solver computes on an integer-scaled copy (l = 6 for the tropical
+    cases) but checks each answer once, on the caller's own a and b."""
+    calls = []
+    for name in ("_checked_solution", "_checked_refutation"):
+
+        def spy(*args, real=getattr(semilin.solver, name)):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(semilin.solver, name, spy)
+    assert membership_certified(a, b).kind is kind
+    assert len(calls) == 1
+    assert calls[0][0] is a and calls[0][1] is b
+
+
+def _min_plus(rows, w):
+    return [min((x + y for x, y in zip(row, w) if INF not in (x, y)), default=INF) for row in rows]
+
+
+def _tropical_draw(rng: Random):
+    """d, n <= 9, denominators from {1, 2, 3, 6, 7}, inf at 1/5, with planted
+    all-inf columns and rows and inf entries of b; b := A·w for half the draws."""
+    d, n = rng.randint(1, 9), rng.randint(1, 9)
+
+    def entry():
+        if rng.random() < 0.2:
+            return INF
+        return Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 6, 7)))
+
+    rows = [[entry() for _ in range(n)] for _ in range(d)]
+    if rng.random() < 0.25:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = INF
+    if rng.random() < 0.25:
+        rows[rng.randrange(d)] = [INF] * n
+    if rng.random() < 0.5:
+        b = _min_plus(rows, [entry() for _ in range(n)])
+    else:
+        b = [entry() for _ in range(d)]
+        if rng.random() < 0.25:
+            b[rng.randrange(d)] = INF
+    return matrix(T, rows), col_vec(T, b)
+
+
+def _boolean_draw(rng: Random):
+    d, n = rng.randint(1, 9), rng.randint(1, 9)
+    rows = [[int(rng.random() < 0.4) for _ in range(n)] for _ in range(d)]
+    if rng.random() < 0.5:
+        w = [rng.randint(0, 1) for _ in range(n)]
+        b = [int(any(x & y for x, y in zip(row, w))) for row in rows]
+    else:
+        b = [rng.randint(0, 1) for _ in range(d)]
+    return matrix(B, rows), col_vec(B, b)
+
+
+def test_raw_core_matches_element_reference():
+    """The integer-scaled raw core returns exactly the former Element pipeline's answers."""
+    rng = Random(707)
+    draws = [_tropical_draw(rng) for _ in range(2000)] + [_boolean_draw(rng) for _ in range(1000)]
+    kinds = {}
+    scaled = 0
+    for a, b in draws:
+        result = membership_certified(a, b)
+        got = (result.kind.value, result.w, result.u, result.v)
+        assert got == idempotent_membership_reference(a, b), (a, b)
+        kinds[a.tag, got[0]] = kinds.get((a.tag, got[0]), 0) + 1
+        scaled += any(e.value is not INF and e.value.denominator > 1 for e in chain(*a.entries))
+    assert min(kinds.values()) >= 200 and len(kinds) == 4
+    assert scaled >= 1500
 
 
 @pytest.mark.parametrize("tag", [B, T, Q])

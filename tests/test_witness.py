@@ -45,7 +45,6 @@ from semilin.sampling import (
     random_nonzero_element,
     random_zero_one_col,
 )
-from semilin.witness import _closed_form_pair
 from tests.oracles import (
     boolean_kernel_pair_reference,
     kernel_witness_reference,
@@ -215,11 +214,11 @@ def test_kernel_witness_matches_block_reference():
         if principal_solution(a_norm, b_norm) is not None:
             assert reference is None
             with pytest.raises(MembershipDetectedError):
-                _closed_form_pair(a_norm, b_norm)
+                kernel_witness(a_norm, b_norm)
             members += 1
             continue
         assert reference is not None and _raw_separates(a_norm, b_norm, *reference)
-        u, v = _closed_form_pair(a_norm, b_norm)
+        u, v = kernel_witness(a_norm, b_norm)
         assert check_certificate(a_norm, b_norm, u, v)
         assert check_certificate(a, b, *unscale_certificate(system, u, v))
         refuted += 1
