@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import InvalidDescriptorError, ToolkitError, UnsupportedCarrierError
 from .matrices import ColVec, Matrix
-from .semirings import SemiringDescriptor, SemiringTag, descriptor, format_element
+from .semirings import _CARRIERS, SemiringDescriptor, SemiringTag, descriptor
 from .solver import SolveKind, membership_certified
 from .sampling import random_system
 from .witness import non_exactness_instance
@@ -160,10 +160,11 @@ class DichotomyReport:
     failures: tuple[str, ...]
 
 
-def _describe_instance(a: Matrix, b: ColVec) -> str:
-    rows = "; ".join(" ".join(format_element(e) for e in row) for row in a.entries)
-    vec = " ".join(format_element(e) for e in b.entries)
-    return f"A=[{rows}] b=[{vec}]"
+def _replay(trial: int, seed: int, a: Matrix, b: ColVec) -> str:
+    """The head of a failure line: the trial and its instance, enough to replay it."""
+    fmt = _CARRIERS[a.tag].format
+    rows = "; ".join(" ".join(map(fmt, row)) for row in a.values)
+    return f"trial {trial} (seed {seed}): A=[{rows}] b=[{' '.join(map(fmt, b.values))}]"
 
 
 def randomized_dichotomy_suite(
@@ -185,16 +186,16 @@ def randomized_dichotomy_suite(
     failures: list[str] = []
     for trial in range(trials):
         a, b = random_system(tag, rng)
-        prefix = f"trial {trial} (seed {seed}): {_describe_instance(a, b)}"
         try:
             result = membership_certified(a, b)
         except ToolkitError as exc:
-            failures.append(f"{prefix} raised {type(exc).__name__}: {exc}")
+            failures.append(f"{_replay(trial, seed, a, b)} raised {type(exc).__name__}: {exc}")
             continue
         if result.kind is SolveKind.SOLUTION:
             solutions += 1
         elif result.kind is SolveKind.REFUTATION:
             refutations += 1
         else:
-            failures.append(f"{prefix} returned {result.kind.value} on an exact carrier")
+            kind = result.kind.value
+            failures.append(f"{_replay(trial, seed, a, b)} returned {kind} on an exact carrier")
     return DichotomyReport(tag, trials, seed, solutions, refutations, tuple(failures))

@@ -45,7 +45,7 @@ from .matrices import (
     normalize,
     zeros_col,
 )
-from .semirings import Element, SemiringTag, descriptor, format_element, parse_element
+from .semirings import _CARRIERS, Payload, SemiringTag, descriptor, format_element
 from .solver import (
     SolveKind,
     extend_functional,
@@ -122,23 +122,23 @@ def parse_instance(text: str) -> tuple[SemiringTag, Matrix, Optional[ColVec]]:
         # only the vector block's tokens can back the row count of such a matrix
         raise ParseError("a matrix with no columns needs a vector block", no)
 
-    parsed: dict[str, Element] = {}  # instance files repeat their tokens
+    parsed: dict[str, Payload] = {}  # instance files repeat their tokens
 
-    def element_of(token: str) -> Element:
+    def payload_of(token: str) -> Payload:
         if token not in parsed:
-            parsed[token] = parse_element(tag, token)  # raises before caching a bad token
+            parsed[token] = _CARRIERS[tag].parse(token)  # raises before caching a bad token
         return parsed[token]
 
-    def take_elements(what: str, count: int) -> tuple[Element, ...]:
+    def take_payloads(what: str, count: int) -> tuple[Payload, ...]:
         no, tokens = take(f"a {what} of {count} tokens")
         if len(tokens) != count:
             raise ParseError(f"expected {count} tokens, found {len(tokens)}", no)
         try:
-            return tuple(map(element_of, tokens))
+            return tuple(map(payload_of, tokens))
         except ValueError as exc:
             raise ParseError(str(exc), no) from None
 
-    rows = [take_elements("matrix row", n) for _ in range(d if n > 0 else 0)]
+    rows = [take_payloads("matrix row", n) for _ in range(d if n > 0 else 0)]
 
     b: Optional[ColVec] = None
     if pos < len(lines):
@@ -151,7 +151,7 @@ def parse_instance(text: str) -> tuple[SemiringTag, Matrix, Optional[ColVec]]:
             raise ParseError("vector length must be an unsigned integer", no) from None
         if length != d:
             raise ParseError(f"vector length {length} does not match {d} matrix rows", no)
-        b = ColVec(tag, take_elements("vector line", length))
+        b = ColVec(tag, take_payloads("vector line", length))
     if pos < len(lines):
         no, _ = lines[pos]
         raise ParseError("trailing content after instance", no)
@@ -165,18 +165,18 @@ def format_instance(tag: SemiringTag, a: Matrix, b: Optional[ColVec] = None) -> 
     """
     out = [f"semiring {tag.value}", f"matrix {a.rows} {a.cols}"]
     if a.cols > 0:
-        out.extend(" ".join(format_element(e) for e in row) for row in a.entries)
+        out.extend(_tokens(tag, row) for row in a.values)
     if b is not None:
         out.append(f"vector {b.length}")
-        out.append(" ".join(format_element(e) for e in b.entries))
+        out.append(_tokens(tag, b.values))
     return "\n".join(out) + "\n"
 
 
 # --- report rendering ---------------------------------------------------------
 
 
-def _vec(entries) -> str:
-    return " ".join(format_element(e) for e in entries)
+def _tokens(tag: SemiringTag, values) -> str:
+    return " ".join(map(_CARRIERS[tag].format, values))
 
 
 # certified answers of these kinds are negative: exit code 1
@@ -187,7 +187,9 @@ def _render_answer(kind: str, vectors: dict, detail: str, fmt: str) -> tuple[int
     """Exit code and report for one certified answer: a kind, named vectors, a detail."""
     sep = " " if fmt == "kv" else " = "
     lines = [f"kind {kind}" if fmt == "kv" else kind.upper()]
-    lines += [f"{name}{sep}{_vec(v.entries)}" for name, v in vectors.items() if v is not None]
+    lines += [
+        f"{name}{sep}{_tokens(v.tag, v.values)}" for name, v in vectors.items() if v is not None
+    ]
     if detail:
         lines.append(f"detail {detail}" if fmt == "kv" else detail)
     return (1 if kind in _NEGATIVE_KINDS else 0), "\n".join(lines)
@@ -226,6 +228,9 @@ def _cmd_normalize(path: str, fmt: str) -> tuple[int, str]:
     if b is None:
         b = zeros_col(tag, a.rows)
     system = normalize(a, b)
+    row_scale, col_scale = (
+        " ".join(map(format_element, s)) for s in (system.row_scale, system.col_scale)
+    )
     col_stoch = is_column_stochastic(a)
     row_stoch = is_row_stochastic(a)
     if fmt == "kv":
@@ -234,20 +239,20 @@ def _cmd_normalize(path: str, fmt: str) -> tuple[int, str]:
             f"original-column-stochastic {str(col_stoch).lower()}",
             f"original-row-stochastic {str(row_stoch).lower()}",
             f"kept-columns {' '.join(map(str, system.kept_columns))}",
-            f"row-scale {_vec(system.row_scale)}",
-            f"col-scale {_vec(system.col_scale)}",
+            f"row-scale {row_scale}",
+            f"col-scale {col_scale}",
             f"matrix {system.a_norm.rows} {system.a_norm.cols}",
         ]
-        lines.extend(f"row {_vec(row)}" for row in system.a_norm.entries)
-        lines.append(f"vector {_vec(system.b_norm.entries)}")
+        lines.extend(f"row {_tokens(tag, row)}" for row in system.a_norm.values)
+        lines.append(f"vector {_tokens(tag, system.b_norm.values)}")
         return 0, "\n".join(lines)
     lines = [
         "NORMALIZED",
         f"original column-stochastic: {str(col_stoch).lower()}",
         f"original row-stochastic: {str(row_stoch).lower()}",
         f"kept columns = {' '.join(map(str, system.kept_columns))}",
-        f"row scale = {_vec(system.row_scale)}",
-        f"col scale = {_vec(system.col_scale)}",
+        f"row scale = {row_scale}",
+        f"col scale = {col_scale}",
         format_instance(tag, system.a_norm, system.b_norm).rstrip("\n"),
     ]
     return 0, "\n".join(lines)
@@ -266,8 +271,8 @@ def _cmd_classify(tag_name: str, fmt: str) -> tuple[int, str]:
         ]
         if verdict.witness is not None:
             a, b = verdict.witness
-            lines.extend(f"witness-row {_vec(row)}" for row in a.entries)
-            lines.append(f"witness-vector {_vec(b.entries)}")
+            lines.extend(f"witness-row {_tokens(tag, row)}" for row in a.values)
+            lines.append(f"witness-vector {_tokens(tag, b.values)}")
         return 0, "\n".join(lines)
     reason_text = {
         "division-ring": "division ring",

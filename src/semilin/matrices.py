@@ -1,26 +1,30 @@
 """Dense matrices and oriented vectors over a single carrier.
 
-Everything is immutable and row-major.  A matrix has at least one row but may
-have zero columns (dropping all-zero columns can empty it); the convention is
-that the right image of a zero-column matrix is {0}.
+Everything is immutable and row-major.  A container holds a tuple of raw
+payloads, ``values``, checked once by the carrier's ``check``; ``matrix``,
+``row_vec`` and ``col_vec`` coerce ints, Fractions, strings and Elements.
+``entries`` is an Element view built on every access, so bind it once.  A
+matrix has at least one row but may have zero columns (dropping all-zero
+columns can empty it); the right image of a zero-column matrix is {0}.
 
 The column-stochastic normal form lives here too: any system A·w = b over a
 zero-sum-free carrier scales to one whose columns sum to the multiplicative
 identity and whose right-hand side is a 0/1 vector, and the scalings are
-invertible diagonals, so answers map back exactly.  It is computed on lists
-of raw payloads through the carrier record (``_normalize_raw``,
-``_unscaled``); ``normalize``, ``inflate_solution`` and
-``unscale_certificate`` are Element wrappers over those functions.  The
-solver feeds them an integer-scaled copy of an idempotent system
-(``_integer_scaled``): min-plus is homogeneous under x -> l·x for a positive
-integer l, so scaling by the lcm of the denominators leaves only ints and
-INF, and ``_unscaled`` divides the answer back by l.
+invertible diagonals, so answers map back exactly.  It is computed on raw
+payloads through the carrier record (``_normalize_raw``, ``_unscaled``),
+which ``normalize``, ``inflate_solution`` and ``unscale_certificate`` wrap
+with their checks; only the two scalings are Elements.  The solver feeds
+them an integer-scaled copy of an idempotent system (``_integer_scaled``):
+min-plus is homogeneous under x -> l·x for a positive integer l, so scaling
+by the lcm of the denominators leaves only ints and INF, and ``_unscaled``
+divides the answer back by l.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import filterfalse
 from math import lcm
 from typing import Iterable, Sequence, Union
 
@@ -37,82 +41,82 @@ from .semirings import (
     Element,
     Payload,
     SemiringTag,
-    add,
     descriptor,
     element,
     one,
-    zero,
 )
 
 
 @dataclass(frozen=True)
-class RowVec:
+class _Vec:
+    """A vector of raw payloads; ``entries`` is the Element view, built per access."""
+
+    tag: SemiringTag
+    values: tuple[Payload, ...]
+
+    def __post_init__(self) -> None:
+        _check_payloads(self.tag, self.values)
+
+    @property
+    def length(self) -> int:
+        return len(self.values)
+
+    @property
+    def entries(self) -> tuple[Element, ...]:
+        return tuple(Element(self.tag, x) for x in self.values)
+
+
+class RowVec(_Vec):
     """A 1 x n row vector."""
 
-    tag: SemiringTag
-    entries: tuple[Element, ...]
 
-    def __post_init__(self) -> None:
-        _check_entries(self.tag, self.entries)
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class ColVec:
+class ColVec(_Vec):
     """An n x 1 column vector."""
-
-    tag: SemiringTag
-    entries: tuple[Element, ...]
-
-    def __post_init__(self) -> None:
-        _check_entries(self.tag, self.entries)
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """A d x n matrix, d >= 1, n >= 0."""
+    """A d x n matrix of raw payloads, d >= 1, n >= 0; ``entries`` is the Element view."""
 
     tag: SemiringTag
     rows: int
     cols: int
-    entries: tuple[tuple[Element, ...], ...]
+    values: tuple[tuple[Payload, ...], ...]
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 0:
             raise DimensionMismatchError(f"bad shape {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows:
+        _check_tuple(self.values)
+        if len(self.values) != self.rows:
             raise DimensionMismatchError("row count does not match entries")
-        for row in self.entries:
+        for row in self.values:
+            _check_payloads(self.tag, row)
             if len(row) != self.cols:
                 raise DimensionMismatchError("ragged rows")
-            _check_entries(self.tag, row)
 
-    def row(self, i: int) -> tuple[Element, ...]:
-        return self.entries[i]
-
-    def col(self, j: int) -> tuple[Element, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+    @property
+    def entries(self) -> tuple[tuple[Element, ...], ...]:
+        return tuple(tuple(Element(self.tag, x) for x in row) for row in self.values)
 
 
-def _check_entries(tag: SemiringTag, entries: Iterable[Element]) -> None:
-    for e in entries:
-        if not isinstance(e, Element):
-            raise TypeError(f"expected Element, got {e!r}")
-        if e.tag is not tag:
-            raise TagMismatchError(f"entry tag {e.tag.value} != container tag {tag.value}")
+def _check_tuple(values: object) -> None:
+    if type(values) is not tuple:  # a list would stay shared with, and mutable by, the caller
+        raise TypeError(f"container values must be a tuple, got {type(values).__name__}")
+
+
+def _check_payloads(tag: SemiringTag, values: tuple) -> None:
+    """The one check of a container's payloads, against the carrier's own ``check``."""
+    if type(tag) is not SemiringTag:  # a plain str would pass the table lookup
+        raise TypeError(f"container tag must be a SemiringTag, got {tag!r}")
+    _check_tuple(values)
+    for x in filterfalse(_CARRIERS[tag].check, values):
+        raise TypeError(f"not a {tag.value} payload: {x!r}")
 
 
 def matrix(tag: SemiringTag | str, rows: Sequence[Sequence]) -> Matrix:
-    """Build a matrix, coercing raw exact values entrywise."""
+    """Build a matrix, coercing ints, Fractions, strings and Elements entrywise."""
     tag = SemiringTag(tag)
-    data = tuple(tuple(element(tag, v) for v in row) for row in rows)
+    data = tuple(tuple(element(tag, v).value for v in row) for row in rows)
     if not data:
         raise DimensionMismatchError("a matrix needs at least one row")
     return Matrix(tag, len(data), len(data[0]), data)
@@ -120,47 +124,45 @@ def matrix(tag: SemiringTag | str, rows: Sequence[Sequence]) -> Matrix:
 
 def row_vec(tag: SemiringTag | str, values: Sequence) -> RowVec:
     tag = SemiringTag(tag)
-    return RowVec(tag, tuple(element(tag, v) for v in values))
+    return RowVec(tag, tuple(element(tag, v).value for v in values))
 
 
 def col_vec(tag: SemiringTag | str, values: Sequence) -> ColVec:
     tag = SemiringTag(tag)
-    return ColVec(tag, tuple(element(tag, v) for v in values))
+    return ColVec(tag, tuple(element(tag, v).value for v in values))
 
 
 def identity_matrix(tag: SemiringTag | str, size: int) -> Matrix:
     """Unit matrix: ones on the diagonal, zeros elsewhere."""
     tag = SemiringTag(tag)
-    o, z = one(tag), zero(tag)
-    return Matrix(
-        tag, size, size, tuple(tuple(o if i == j else z for j in range(size)) for i in range(size))
-    )
+    return Matrix(tag, size, size, tuple(unit_row(tag, size, i).values for i in range(size)))
 
 
 def ones_row(tag: SemiringTag | str, length: int) -> RowVec:
     tag = SemiringTag(tag)
-    return RowVec(tag, (one(tag),) * length)
+    return RowVec(tag, (_CARRIERS[tag].one,) * length)
 
 
 def zeros_row(tag: SemiringTag | str, length: int) -> RowVec:
     tag = SemiringTag(tag)
-    return RowVec(tag, (zero(tag),) * length)
+    return RowVec(tag, (_CARRIERS[tag].zero,) * length)
 
 
 def zeros_col(tag: SemiringTag | str, length: int) -> ColVec:
     tag = SemiringTag(tag)
-    return ColVec(tag, (zero(tag),) * length)
+    return ColVec(tag, (_CARRIERS[tag].zero,) * length)
 
 
 def unit_row(tag: SemiringTag | str, length: int, index: int) -> RowVec:
     tag = SemiringTag(tag)
-    return RowVec(tag, tuple(one(tag) if j == index else zero(tag) for j in range(length)))
+    c = _CARRIERS[tag]
+    return RowVec(tag, tuple(c.one if j == index else c.zero for j in range(length)))
 
 
 def transpose(a: Matrix) -> Matrix:
     if a.cols == 0:
         raise DimensionMismatchError("cannot transpose a zero-column matrix")
-    return Matrix(a.tag, a.cols, a.rows, tuple(a.col(j) for j in range(a.cols)))
+    return Matrix(a.tag, a.cols, a.rows, tuple(zip(*a.values)))
 
 
 def vec_add(x: Union[RowVec, ColVec], y: Union[RowVec, ColVec]) -> Union[RowVec, ColVec]:
@@ -171,20 +173,11 @@ def vec_add(x: Union[RowVec, ColVec], y: Union[RowVec, ColVec]) -> Union[RowVec,
         raise TagMismatchError("mixed carriers")
     if x.length != y.length:
         raise DimensionMismatchError(f"lengths {x.length} != {y.length}")
-    return type(x)(x.tag, tuple(add(p, q) for p, q in zip(x.entries, y.entries)))
+    return type(x)(x.tag, tuple(map(_CARRIERS[x.tag].add, x.values, y.values)))
 
 
-# _sum and _dot fold raw payloads through the carrier record and build one
-# Element per result; the containers have already checked every entry's tag.
-def _sum(tag: SemiringTag, items: Iterable[Element]) -> Element:
-    c = _CARRIERS[tag]
-    return Element(tag, reduce(c.add, (x.value for x in items), c.zero))
-
-
-def _dot(tag: SemiringTag, xs: Sequence[Element], ys: Sequence[Element]) -> Element:
-    c = _CARRIERS[tag]
-    products = map(c.mul, [x.value for x in xs], [y.value for y in ys])
-    return Element(tag, reduce(c.add, products, c.zero))
+def _dot(c: Carrier, xs: Iterable[Payload], ys: Iterable[Payload]) -> Payload:
+    return reduce(c.add, map(c.mul, xs, ys), c.zero)
 
 
 MatMulOperand = Union[Matrix, RowVec, ColVec]
@@ -193,40 +186,45 @@ MatMulOperand = Union[Matrix, RowVec, ColVec]
 def mat_mul(x: MatMulOperand, y: MatMulOperand) -> Union[Matrix, RowVec, ColVec, Element]:
     """Semiring product of conformable operands.
 
-    row * matrix -> row, matrix * col -> col, row * col -> scalar,
-    matrix * matrix -> matrix.
+    row * matrix -> row, matrix * col -> col, row * col -> scalar (an
+    Element), matrix * matrix -> matrix.
     """
     if x.tag is not y.tag:
         raise TagMismatchError(f"mixed carriers: {x.tag.value} and {y.tag.value}")
     tag = x.tag
+    c = _CARRIERS[tag]
     if isinstance(x, RowVec) and isinstance(y, Matrix):
         if x.length != y.rows:
             raise DimensionMismatchError(f"inner dims {x.length} != {y.rows}")
-        return RowVec(tag, tuple(_dot(tag, x.entries, y.col(j)) for j in range(y.cols)))
+        return RowVec(tag, tuple(_dot(c, x.values, col) for col in zip(*y.values)))
     if isinstance(x, Matrix) and isinstance(y, ColVec):
         if x.cols != y.length:
             raise DimensionMismatchError(f"inner dims {x.cols} != {y.length}")
-        return ColVec(tag, tuple(_dot(tag, x.row(i), y.entries) for i in range(x.rows)))
+        return ColVec(tag, tuple(_dot(c, row, y.values) for row in x.values))
     if isinstance(x, RowVec) and isinstance(y, ColVec):
         if x.length != y.length:
             raise DimensionMismatchError(f"inner dims {x.length} != {y.length}")
-        return _dot(tag, x.entries, y.entries)
+        return Element(tag, _dot(c, x.values, y.values))
     if isinstance(x, Matrix) and isinstance(y, Matrix):
         if x.cols != y.rows:
             raise DimensionMismatchError(f"inner dims {x.cols} != {y.rows}")
-        data = tuple(
-            tuple(_dot(tag, x.row(i), y.col(j)) for j in range(y.cols)) for i in range(x.rows)
-        )
+        cols = list(zip(*y.values))
+        data = tuple(tuple(_dot(c, row, col) for col in cols) for row in x.values)
         return Matrix(tag, x.rows, y.cols, data)
     raise TypeError(f"cannot multiply {type(x).__name__} by {type(y).__name__}")
 
 
+def _sums(tag: SemiringTag, vectors: Iterable[Iterable[Payload]]) -> tuple[Element, ...]:
+    c = _CARRIERS[tag]
+    return tuple(Element(tag, reduce(c.add, v, c.zero)) for v in vectors)
+
+
 def col_sums(a: Matrix) -> tuple[Element, ...]:
-    return tuple(_sum(a.tag, a.col(j)) for j in range(a.cols))
+    return _sums(a.tag, zip(*a.values))
 
 
 def row_sums(a: Matrix) -> tuple[Element, ...]:
-    return tuple(_sum(a.tag, a.row(i)) for i in range(a.rows))
+    return _sums(a.tag, a.values)
 
 
 def is_column_stochastic(a: Matrix) -> bool:
@@ -259,18 +257,6 @@ class NormalizedSystem:
     original_cols: int
 
 
-def _values(entries: Iterable[Element]) -> list[Payload]:
-    return [e.value for e in entries]
-
-
-def _raw(a: Matrix, b: ColVec) -> tuple[list[list[Payload]], list[Payload]]:
-    return [_values(row) for row in a.entries], _values(b.entries)
-
-
-def _elements(tag: SemiringTag, values: Iterable[Payload]) -> tuple[Element, ...]:
-    return tuple(Element(tag, x) for x in values)
-
-
 def _check_system(a: Matrix, b: ColVec) -> None:
     if a.tag is not b.tag:
         raise TagMismatchError("matrix and vector carriers differ")
@@ -281,16 +267,15 @@ def _check_system(a: Matrix, b: ColVec) -> None:
 def _integer_scaled(a: Matrix, b: ColVec) -> tuple[int, Payload, list[list], list]:
     """(l, one, A, b): an idempotent system times the lcm l of the finite
     denominators of [A | b], as raw payloads, and the carrier's one scaled."""
-    rows, rhs = _raw(a, b)
     # a set, not a generator: a tuple built from a generator is resized, and
     # freed tuples of its length then pile up on the interpreter's free lists
-    l = lcm(*{x.denominator for row in (*rows, rhs) for x in row if x is not INF})
+    l = lcm(*{x.denominator for row in (*a.values, b.values) for x in row if x is not INF})
 
     def scale(x: Payload) -> Payload:
         return x if x is INF else x.numerator * (l // x.denominator)
 
     one = scale(_CARRIERS[a.tag].one)
-    return l, one, [list(map(scale, row)) for row in rows], list(map(scale, rhs))
+    return l, one, [list(map(scale, row)) for row in a.values], list(map(scale, b.values))
 
 
 def _normalize_raw(c: Carrier, one: Payload, rows: list[list], rhs: list) -> tuple:
@@ -305,8 +290,8 @@ def _normalize_raw(c: Carrier, one: Payload, rows: list[list], rhs: list) -> tup
     if z in alpha:
         raise InternalInvariantError("zero column sum despite zero-sum-freeness")
     alpha_inv = list(map(c.inv, alpha))
-    a_norm = [list(map(c.mul, row, alpha_inv)) for row in scaled]
-    b_norm = list(map(c.mul, beta_inv, rhs))
+    a_norm = tuple(tuple(map(c.mul, row, alpha_inv)) for row in scaled)
+    b_norm = tuple(map(c.mul, beta_inv, rhs))
     if any(reduce(c.add, col, z) != one for col in zip(*a_norm)):
         raise InternalInvariantError("normalized matrix is not column-stochastic")
     if any(x != z and x != one for x in b_norm):
@@ -335,9 +320,9 @@ def normalize(a: Matrix, b: ColVec) -> NormalizedSystem:
     if not descriptor(tag).is_zero_sum_free:
         raise NotZeroSumFreeError(f"the {tag.value} carrier is not zero-sum free")
     c = _CARRIERS[tag]
-    a_norm, b_norm, beta, alpha, kept = _normalize_raw(c, c.one, *_raw(a, b))
-    a_norm = Matrix(tag, a.rows, len(kept), tuple(_elements(tag, row) for row in a_norm))
-    b_norm, beta, alpha = (_elements(tag, x) for x in (b_norm, beta, alpha))
+    a_norm, b_norm, beta, alpha, kept = _normalize_raw(c, c.one, a.values, b.values)
+    beta, alpha = (tuple(Element(tag, x) for x in s) for s in (beta, alpha))
+    a_norm = Matrix(tag, a.rows, len(kept), a_norm)
     return NormalizedSystem(a_norm, ColVec(tag, b_norm), beta, alpha, tuple(kept), a.cols)
 
 
@@ -348,9 +333,9 @@ def inflate_solution(system: NormalizedSystem, w_norm: ColVec) -> ColVec:
         raise TagMismatchError("solution and system carriers differ")
     if w_norm.length != len(system.kept_columns):
         raise DimensionMismatchError("solution length does not match kept columns")
-    scales, kept, cols = _values(system.col_scale), system.kept_columns, system.original_cols
-    w = _unscaled(_CARRIERS[tag], 1, scales, kept, cols, _values(w_norm.entries))
-    return ColVec(tag, _elements(tag, w))
+    c, scales = _CARRIERS[tag], [e.value for e in system.col_scale]
+    w = _unscaled(c, 1, scales, system.kept_columns, system.original_cols, w_norm.values)
+    return ColVec(tag, tuple(w))
 
 
 def unscale_certificate(
@@ -363,6 +348,6 @@ def unscale_certificate(
         raise TagMismatchError("certificate and system carriers differ")
     if u_norm.length != d or v_norm.length != d:
         raise DimensionMismatchError("certificate length does not match row count")
-    c, scales = _CARRIERS[tag], _values(system.row_scale)
-    u, v = (_unscaled(c, 1, scales, range(d), d, _values(w.entries)) for w in (u_norm, v_norm))
-    return RowVec(tag, _elements(tag, u)), RowVec(tag, _elements(tag, v))
+    c, scales = _CARRIERS[tag], [e.value for e in system.row_scale]
+    u, v = (tuple(_unscaled(c, 1, scales, range(d), d, w.values)) for w in (u_norm, v_norm))
+    return RowVec(tag, u), RowVec(tag, v)

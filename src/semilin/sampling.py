@@ -12,7 +12,7 @@ from functools import reduce
 from random import Random
 
 from .matrices import ColVec, Matrix, RowVec, mat_mul
-from .semirings import _CARRIERS, Element, SemiringTag, add, inv, mul, one, zero
+from .semirings import _CARRIERS, Element, SemiringTag
 
 
 def random_element(tag: SemiringTag | str, rng: Random) -> Element:
@@ -27,27 +27,23 @@ def random_nonzero_element(tag: SemiringTag | str, rng: Random) -> Element:
 
 def random_matrix(tag: SemiringTag | str, d: int, n: int, rng: Random) -> Matrix:
     tag = SemiringTag(tag)
-    return Matrix(
-        tag, d, n, tuple(tuple(random_element(tag, rng) for _ in range(n)) for _ in range(d))
-    )
+    return Matrix(tag, d, n, tuple(random_row_vec(tag, n, rng).values for _ in range(d)))
 
 
 def random_row_vec(tag: SemiringTag | str, length: int, rng: Random) -> RowVec:
     tag = SemiringTag(tag)
-    return RowVec(tag, tuple(random_element(tag, rng) for _ in range(length)))
+    return RowVec(tag, tuple(_CARRIERS[tag].random(rng) for _ in range(length)))
 
 
 def random_col_vec(tag: SemiringTag | str, length: int, rng: Random) -> ColVec:
-    tag = SemiringTag(tag)
-    return ColVec(tag, tuple(random_element(tag, rng) for _ in range(length)))
+    return ColVec(SemiringTag(tag), random_row_vec(tag, length, rng).values)
 
 
 def random_zero_one_col(tag: SemiringTag | str, length: int, rng: Random) -> ColVec:
     """A column with entries drawn from {0, 1} of the carrier."""
     tag = SemiringTag(tag)
-    return ColVec(
-        tag, tuple(one(tag) if rng.random() < 0.5 else zero(tag) for _ in range(length))
-    )
+    c = _CARRIERS[tag]
+    return ColVec(tag, tuple(c.one if rng.random() < 0.5 else c.zero for _ in range(length)))
 
 
 def random_column_stochastic(
@@ -57,7 +53,7 @@ def random_column_stochastic(
     rng: Random,
     entry,
 ) -> Matrix:
-    """A column-stochastic matrix with entries drawn by ``entry(rng)``.
+    """A column-stochastic matrix with entries drawn by ``entry(rng)``, an Element.
 
     Columns are redrawn until their sum is nonzero (over the rationals a
     column of nonzero entries can sum to 0), then scaled by the inverse of
@@ -67,17 +63,17 @@ def random_column_stochastic(
     if d < 1:
         raise ValueError(f"a column-stochastic {d}x{n} matrix needs at least one row")
     tag = SemiringTag(tag)
-    z = zero(tag)
+    c = _CARRIERS[tag]
     columns = []
     for _ in range(n):
         while True:
-            col = [entry(rng) for _ in range(d)]
-            s = reduce(add, col)
-            if s != z:
+            col = [entry(rng).value for _ in range(d)]
+            s = reduce(c.add, col)
+            if s != c.zero:
                 break
-        s_inv = inv(s)
-        columns.append([mul(e, s_inv) for e in col])
-    return Matrix(tag, d, n, tuple(tuple(columns[j][i] for j in range(n)) for i in range(d)))
+        s_inv = c.inv(s)
+        columns.append([c.mul(x, s_inv) for x in col])
+    return Matrix(tag, d, n, tuple(tuple(col[i] for col in columns) for i in range(d)))
 
 
 def random_system(
@@ -102,15 +98,15 @@ def random_monomial(tag: SemiringTag | str, size: int, rng: Random) -> tuple[Mat
     These are the constructively invertible matrices over any semifield.
     """
     tag = SemiringTag(tag)
-    z = zero(tag)
+    c = _CARRIERS[tag]
     perm = list(range(size))
     rng.shuffle(perm)
-    diag = [random_nonzero_element(tag, rng) for _ in range(size)]
-    m_rows = [[z] * size for _ in range(size)]
-    inv_rows = [[z] * size for _ in range(size)]
+    diag = [c.random_nonzero(rng) for _ in range(size)]
+    m_rows = [[c.zero] * size for _ in range(size)]
+    inv_rows = [[c.zero] * size for _ in range(size)]
     for i in range(size):
         m_rows[i][perm[i]] = diag[i]
-        inv_rows[perm[i]][i] = inv(diag[i])
+        inv_rows[perm[i]][i] = c.inv(diag[i])
     m = Matrix(tag, size, size, tuple(tuple(r) for r in m_rows))
     m_inv = Matrix(tag, size, size, tuple(tuple(r) for r in inv_rows))
     return m, m_inv

@@ -10,7 +10,8 @@ tag in ``_CARRIERS``: raw-payload arithmetic, the payload check, the token
 grammar, the samplers and the axiom flags.  That table is the only place in
 the package that branches on the tag; every other function reads a field.
 
-Elements are immutable values.  All operations here are pure and reentrant.
+Elements are immutable values; containers hold bare payloads and build
+Elements only for their ``entries`` view.  All operations are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -219,11 +220,11 @@ def parse_element(tag: SemiringTag | str, token: str) -> Element:
 class Carrier:
     """One carrier's payloads and operations; all fields act on raw payloads.
 
-    ``inv`` is never called on ``zero``; ``check`` is the Element invariant;
-    ``unscale(x, l)`` is the payload x/l of an integer-scaled payload x (INF
-    stays INF); ``parse`` takes a stripped token and raises ValueError on a
-    bad one; ``random`` and ``random_nonzero`` are the samplers' draws, in a
-    fixed RNG order so that seeded runs reproduce.
+    ``inv`` is never called on ``zero``; ``check`` is the payload invariant of
+    Elements and containers; ``unscale(x, l)`` is the payload x/l of an
+    integer-scaled payload x (INF stays INF); ``parse`` takes a stripped token
+    and raises ValueError on a bad one; ``random`` and ``random_nonzero`` are
+    the samplers' draws, in a fixed RNG order so that seeded runs reproduce.
     """
 
     descriptor: SemiringDescriptor

@@ -8,16 +8,17 @@ against the caller's original (A, b); a failed check raises
 ``InternalInvariantError`` instead of returning.  That is the only check on an
 emitted answer: the CLI and the verification suites do not repeat it.
 Over the boolean, tropical and rational carriers exactly one of the two is
-returned for every system.  The idempotent carriers are decided on raw
-payloads: [A | b] is scaled by the lcm l of its denominators (min-plus is
-homogeneous under x -> l·x), normalized, residuated and, on failure, refuted
-by the closed-form kernel pair, all on ints and INF; Elements are built only
-for the returned vectors, divided back by l.  The rational carriers are
-decided by exact elimination, ``_row_reduce``: fraction-free Gauss-Jordan on
-integer-scaled rows, which also yields the refutation row and the null
-basis.  The nonnegative-rational carrier admits a third outcome,
-NO_SOLUTION, for systems proved unsolvable by exact elimination yet having no
-kernel pair, plus UNDECIDED when a bounded search is inconclusive.
+returned for every system.  Every stage reads the containers' raw payloads
+(``values``) and no Element is built on the way.  The idempotent carriers:
+[A | b] is scaled by the lcm l of its denominators (min-plus is homogeneous
+under x -> l·x), normalized, residuated and, on failure, refuted by the
+closed-form kernel pair, all on ints and INF, and the answer is divided back
+by l.  The rational carriers are decided by exact elimination,
+``_row_reduce``: fraction-free Gauss-Jordan on integer-scaled rows, which
+also yields the refutation row and the null basis.  The nonnegative-rational
+carrier admits a third outcome, NO_SOLUTION, for systems proved unsolvable
+by exact elimination yet having no kernel pair, plus UNDECIDED when a
+bounded search is inconclusive.
 
 ``extend_functional`` turns the same machinery into an extension engine for
 functionals given by their values on the rows of a generator matrix.
@@ -44,17 +45,15 @@ from .matrices import (
     Matrix,
     RowVec,
     _check_system,
-    _elements,
     _integer_scaled,
     _normalize_raw,
-    _raw,
     _unscaled,
     mat_mul,
     unit_row,
     zeros_col,
     zeros_row,
 )
-from .semirings import _CARRIERS, Carrier, Element, Payload, SemiringTag, descriptor, zero
+from .semirings import _CARRIERS, Carrier, Payload, descriptor
 from .witness import _closed_form_pair, check_certificate
 
 
@@ -132,8 +131,8 @@ def principal_solution(a: Matrix, b: ColVec) -> Optional[ColVec]:
     tag = a.tag
     if not descriptor(tag).is_idempotent:
         raise UnsupportedCarrierError("residuation needs an idempotent totally ordered carrier")
-    xhat = _residuate(_CARRIERS[tag], *_raw(a, b))
-    return None if xhat is None else ColVec(tag, _elements(tag, xhat))
+    xhat = _residuate(_CARRIERS[tag], a.values, b.values)
+    return None if xhat is None else ColVec(tag, tuple(xhat))
 
 
 # --- exact rational elimination ---------------------------------------------
@@ -219,13 +218,6 @@ def _row_reduce(
     return solution, None, null_basis
 
 
-def _split_refutation_row(tag: SemiringTag, y: list[Fraction]) -> tuple[RowVec, RowVec]:
-    """Split y = u - v into nonnegative parts, keeping the certificate shape."""
-    u = RowVec(tag, tuple(Element(tag, x if x > 0 else Fraction(0)) for x in y))
-    v = RowVec(tag, tuple(Element(tag, -x if x < 0 else Fraction(0)) for x in y))
-    return u, v
-
-
 def field_solve(a: Matrix, b: ColVec) -> CertifiedSolveResult:
     """Exact elimination over the rational carrier: Solution or Refutation."""
     _check_system(a, b)
@@ -270,16 +262,14 @@ def _eliminate(a: Matrix, b: ColVec) -> CertifiedSolveResult:
     """
     tag = a.tag
     in_carrier = _CARRIERS[tag].check
-    raw_a = [[e.value for e in row] for row in a.entries]
-    raw_b = [e.value for e in b.entries]
-    solution, refutation_row, null_basis = _row_reduce(raw_a, raw_b)
-    if refutation_row is not None:
-        u, v = _split_refutation_row(tag, refutation_row)
+    solution, refutation_row, null_basis = _row_reduce(a.values, b.values)
+    if refutation_row is not None:  # y = u - v, split into nonnegative parts
+        u = RowVec(tag, tuple(x if x > 0 else Fraction(0) for x in refutation_row))
+        v = RowVec(tag, tuple(-x if x < 0 else Fraction(0) for x in refutation_row))
         return _checked_refutation(a, b, u, v)
     assert solution is not None
     if all(map(in_carrier, solution)):
-        w = ColVec(tag, tuple(Element(tag, x) for x in solution))
-        return _checked_solution(a, b, w)
+        return _checked_solution(a, b, ColVec(tag, tuple(solution)))
     if not null_basis:
         return CertifiedSolveResult(
             SolveKind.NO_SOLUTION,
@@ -297,8 +287,7 @@ def _eliminate(a: Matrix, b: ColVec) -> CertifiedSolveResult:
                 continue
             candidate = [x + t * y for x, y in zip(candidate, vec)]
         if all(map(in_carrier, candidate)):
-            w = ColVec(tag, tuple(Element(tag, x) for x in candidate))
-            return _checked_solution(a, b, w)
+            return _checked_solution(a, b, ColVec(tag, tuple(candidate)))
     return CertifiedSolveResult(
         SolveKind.UNDECIDED,
         detail=f"bounded search over {tried} candidates found no nonnegative solution",
@@ -327,28 +316,28 @@ def membership_certified(a: Matrix, b: ColVec) -> CertifiedSolveResult:
     if not desc.is_idempotent:
         return _eliminate(a, b)
 
-    z = zero(tag)
-    if all(e == z for e in b.entries):
+    c = _CARRIERS[tag]
+    z = c.zero
+    if all(x == z for x in b.values):
         return _checked_solution(a, b, zeros_col(tag, a.cols))
-    if all(e == z for row in a.entries for e in row):
-        i = next(i for i in range(a.rows) if b.entries[i] != z)
+    if all(x == z for row in a.values for x in row):
+        i = next(i for i, x in enumerate(b.values) if x != z)
         return _checked_refutation(a, b, unit_row(tag, a.rows, i), zeros_row(tag, a.rows))
 
-    c = _CARRIERS[tag]
     l, o, rows, rhs = _integer_scaled(a, b)
     a_norm, b_norm, beta, alpha, kept = _normalize_raw(c, o, rows, rhs)
     xhat = _residuate(c, a_norm, b_norm)
     if xhat is not None:
         w = _unscaled(c, l, alpha, kept, a.cols, xhat)
-        return _checked_solution(a, b, ColVec(tag, _elements(tag, w)))
+        return _checked_solution(a, b, ColVec(tag, tuple(w)))
     try:
         pair = _closed_form_pair(c, o, a_norm, b_norm)
     except MembershipDetectedError as exc:
         raise InternalInvariantError(
             f"residuation found no solution but the witness builder found one: {exc}"
         ) from exc
-    u, v = (_elements(tag, _unscaled(c, l, beta, range(a.rows), a.rows, w)) for w in pair)
-    return _checked_refutation(a, b, RowVec(tag, u), RowVec(tag, v))
+    u, v = (RowVec(tag, tuple(_unscaled(c, l, beta, range(a.rows), a.rows, w))) for w in pair)
+    return _checked_refutation(a, b, u, v)
 
 
 def extend_functional(g: Matrix, values: ColVec) -> ExtensionResult:

@@ -32,13 +32,10 @@ from .matrices import (
     ColVec,
     Matrix,
     RowVec,
-    _elements,
-    _raw,
     is_column_stochastic,
     is_row_stochastic,
     mat_mul,
     ones_row,
-    row_sums,
     vec_add,
 )
 from .semirings import (
@@ -46,12 +43,8 @@ from .semirings import (
     Carrier,
     Payload,
     SemiringTag,
-    add,
     descriptor,
     element_not_below_one,
-    inv,
-    one,
-    zero,
 )
 
 
@@ -83,15 +76,14 @@ def alternative_ones_preimage(a: Matrix) -> RowVec:
     if is_row_stochastic(a):
         raise NotApplicableError("matrix is row-stochastic")
 
-    z, o = zero(tag), one(tag)
-    alphas = row_sums(a)
-    if any(s == z for s in alphas):
-        i = next(i for i, s in enumerate(alphas) if s == z)
-        lam = element_not_below_one(tag)
-        entries = tuple(lam if t == i else o for t in range(a.rows))
+    c = _CARRIERS[tag]
+    alphas = [reduce(c.add, row, c.zero) for row in a.values]
+    if c.zero in alphas:
+        i = alphas.index(c.zero)
+        lam = element_not_below_one(tag).value
+        result = RowVec(tag, tuple(lam if t == i else c.one for t in range(a.rows)))
     else:
-        entries = tuple(inv(s) for s in alphas)
-    result = RowVec(tag, entries)
+        result = RowVec(tag, tuple(map(c.inv, alphas)))
 
     ones_d = ones_row(tag, a.rows)
     if mat_mul(result, a) != ones_row(tag, a.cols):
@@ -144,7 +136,7 @@ def _closed_form_pair(c: Carrier, one: Payload, rows: list[list], rhs: list) -> 
 
 def _self_checked_pair(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
     c = _CARRIERS[a.tag]
-    u, v = (RowVec(a.tag, _elements(a.tag, w)) for w in _closed_form_pair(c, c.one, *_raw(a, b)))
+    u, v = (RowVec(a.tag, tuple(w)) for w in _closed_form_pair(c, c.one, a.values, b.values))
     if not check_certificate(a, b, u, v):
         raise InternalInvariantError("closed-form kernel pair failed validation")
     return u, v
@@ -170,7 +162,8 @@ def kernel_witness(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
         raise NotApplicableError("matrix must be column-stochastic")
     if b.length != a.rows:
         raise NotApplicableError("vector length must match the row count")
-    if any(e != zero(tag) and e != one(tag) for e in b.entries):
+    c = _CARRIERS[tag]
+    if any(x != c.zero and x != c.one for x in b.values):
         raise NotApplicableError("right-hand side must have 0/1 entries")
     return _self_checked_pair(a, b)
 
@@ -202,7 +195,6 @@ def non_exactness_instance(tag: SemiringTag | str) -> tuple[Matrix, ColVec]:
     linear-functional extension.
     """
     tag = SemiringTag(tag)
-    z, o = zero(tag), one(tag)
-    a = Matrix(tag, 2, 2, ((z, o), (o, o)))
-    b = ColVec(tag, (add(o, o), o))
-    return a, b
+    c = _CARRIERS[tag]
+    z, o = c.zero, c.one
+    return Matrix(tag, 2, 2, ((z, o), (o, o))), ColVec(tag, (c.add(o, o), o))

@@ -29,12 +29,14 @@ from semilin import (
     MembershipDetectedError,
     RowVec,
     add,
+    col_vec,
     inv,
     is_column_stochastic,
     mat_mul,
     mul,
     nat_geq,
     one,
+    row_vec,
     unit_row,
     zero,
     zeros_col,
@@ -85,6 +87,13 @@ def mat_mul_reference(x, y) -> list[list]:
             out_row.append(acc)
         out.append(out_row)
     return out
+
+
+def sums_reference(a: Matrix) -> tuple[list, list]:
+    """(column sums, row sums) of a matrix, by plain folds over raw payloads."""
+    zero, add, _ = _RAW_SEMIRINGS[a.tag.value]
+    rows = raw_rows(a)
+    return [reduce(add, col, zero) for col in zip(*rows)], [reduce(add, r, zero) for r in rows]
 
 
 def tropical_member_grid(a: Matrix, b: ColVec, lo: int = -10, hi: int = 10) -> bool:
@@ -292,12 +301,13 @@ class _Normalized:
 def _normalize(a: Matrix, b: ColVec) -> _Normalized:
     tag = a.tag
     z = zero(tag)
-    kept = tuple(j for j in range(a.cols) if any(a.entries[i][j] != z for i in range(a.rows)))
-    beta = tuple(b.entries[i] if b.entries[i] != z else one(tag) for i in range(a.rows))
+    rows, rhs = a.entries, b.entries
+    kept = tuple(j for j in range(a.cols) if any(rows[i][j] != z for i in range(a.rows)))
+    beta = tuple(rhs[i] if rhs[i] != z else one(tag) for i in range(a.rows))
     beta_inv = tuple(inv(x) for x in beta)
 
     scaled_rows = tuple(
-        tuple(mul(beta_inv[i], a.entries[i][j]) for j in kept) for i in range(a.rows)
+        tuple(mul(beta_inv[i], rows[i][j]) for j in kept) for i in range(a.rows)
     )
     alpha = tuple(
         reduce(add, (scaled_rows[i][c] for i in range(a.rows)), z) for c in range(len(kept))
@@ -309,11 +319,11 @@ def _normalize(a: Matrix, b: ColVec) -> _Normalized:
         a.rows,
         len(kept),
         tuple(
-            tuple(mul(scaled_rows[i][c], alpha_inv[c]) for c in range(len(kept)))
+            tuple(mul(scaled_rows[i][c], alpha_inv[c]).value for c in range(len(kept)))
             for i in range(a.rows)
         ),
     )
-    b_norm = ColVec(tag, tuple(mul(beta_inv[i], b.entries[i]) for i in range(a.rows)))
+    b_norm = col_vec(tag, [mul(beta_inv[i], rhs[i]) for i in range(a.rows)])
     assert is_column_stochastic(a_norm)
     return _Normalized(a_norm, b_norm, beta, alpha, kept, a.cols)
 
@@ -329,24 +339,26 @@ def _nat_meet(items: list[Element]) -> Element:
 def _principal_solution(a: Matrix, b: ColVec) -> Optional[ColVec]:
     tag = a.tag
     z = zero(tag)
+    rows, rhs = a.entries, b.entries
     entries = []
     for j in range(a.cols):
         candidates = [
-            mul(inv(a.entries[i][j]), b.entries[i])
+            mul(inv(rows[i][j]), rhs[i])
             for i in range(a.rows)
-            if a.entries[i][j] != z
+            if rows[i][j] != z
         ]
         entries.append(_nat_meet(candidates))
-    xhat = ColVec(tag, tuple(entries))
+    xhat = col_vec(tag, entries)
     return xhat if mat_mul(a, xhat) == b else None
 
 
 def _inflate_solution(system: _Normalized, w_norm: ColVec) -> ColVec:
     tag = system.a_norm.tag
     full = [zero(tag)] * system.original_cols
+    w = w_norm.entries
     for c, j in enumerate(system.kept_columns):
-        full[j] = mul(inv(system.col_scale[c]), w_norm.entries[c])
-    return ColVec(tag, tuple(full))
+        full[j] = mul(inv(system.col_scale[c]), w[c])
+    return col_vec(tag, full)
 
 
 def _unscale_certificate(
@@ -354,8 +366,8 @@ def _unscale_certificate(
 ) -> tuple[RowVec, RowVec]:
     tag = system.a_norm.tag
     beta_inv = tuple(inv(x) for x in system.row_scale)
-    u = RowVec(tag, tuple(mul(x, s) for x, s in zip(u_norm.entries, beta_inv)))
-    v = RowVec(tag, tuple(mul(x, s) for x, s in zip(v_norm.entries, beta_inv)))
+    u = row_vec(tag, [mul(x, s) for x, s in zip(u_norm.entries, beta_inv)])
+    v = row_vec(tag, [mul(x, s) for x, s in zip(v_norm.entries, beta_inv)])
     return u, v
 
 
@@ -383,7 +395,7 @@ def _closed_form_pair(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
     v_on_o = z if s == z else o
     v = [heavy if x == z else v_on_o for x in rhs]
     u = v[:i] + [lam] + v[i + 1 :]
-    return tuple(RowVec(tag, tuple(Element(tag, x) for x in w)) for w in (u, v))
+    return tuple(RowVec(tag, tuple(w)) for w in (u, v))
 
 
 def idempotent_membership_reference(
@@ -400,7 +412,7 @@ def idempotent_membership_reference(
     if all(e == z for e in b.entries):
         return "solution", zeros_col(tag, a.cols), None, None
     if all(e == z for row in a.entries for e in row):
-        i = next(i for i in range(a.rows) if b.entries[i] != z)
+        i = next(i for i, e in enumerate(b.entries) if e != z)
         return "refutation", None, unit_row(tag, a.rows, i), zeros_row(tag, a.rows)
     system = _normalize(a, b)
     xhat = _principal_solution(system.a_norm, system.b_norm)

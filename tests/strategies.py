@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
-from semilin import INF, ColVec, Matrix, RowVec, SemiringTag, element, zero
+from semilin import INF, SemiringTag, col_vec, element, matrix, row_vec, zero
 
 ALL_TAGS = list(SemiringTag)
 IDEMPOTENT_TAGS = [SemiringTag.BOOLEAN, SemiringTag.TROPICAL]
@@ -43,20 +43,18 @@ def matrices(tag: SemiringTag, max_dim: int = 3):
                 st.lists(elements(tag), min_size=n, max_size=n),
                 min_size=d,
                 max_size=d,
-            ).map(
-                lambda rows: Matrix(tag, d, n, tuple(tuple(r) for r in rows))
-            )
+            ).map(lambda rows: matrix(tag, rows))
         )
     )
 
 
 def col_vecs(tag: SemiringTag, length: int):
     return st.lists(elements(tag), min_size=length, max_size=length).map(
-        lambda xs: ColVec(tag, tuple(xs))
+        lambda xs: col_vec(tag, xs)
     )
 
 
 def row_vecs(tag: SemiringTag, length: int):
     return st.lists(elements(tag), min_size=length, max_size=length).map(
-        lambda xs: RowVec(tag, tuple(xs))
+        lambda xs: row_vec(tag, xs)
     )

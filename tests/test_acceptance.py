@@ -191,7 +191,7 @@ def test_criterion_5_nonneg_rationals_not_exact():
 
     grid_w = [Fraction(k, 4) for k in range(0, 17)]  # 0, 1/4, ..., 4
     grid_solutions = sum(
-        mat_mul(a, ColVec(QP, (element(QP, x), element(QP, y)))) == b
+        mat_mul(a, ColVec(QP, (element(QP, x).value, element(QP, y).value))) == b
         for x in grid_w
         for y in grid_w
     )

@@ -87,18 +87,18 @@ def test_exhaustive_membership_counts_match_oracle():
     report = boolean_exhaustive_check(2, 2)
     from itertools import product
 
-    from semilin import ColVec, Matrix, element
+    from semilin import ColVec, Matrix
 
     for shape in report.shapes:
         members = 0
         for bits in product((0, 1), repeat=shape.d * shape.n):
             rows = tuple(
-                tuple(element(B, bits[i * shape.n + j]) for j in range(shape.n))
+                tuple(bits[i * shape.n + j] for j in range(shape.n))
                 for i in range(shape.d)
             )
             a = Matrix(B, shape.d, shape.n, rows)
             for bbits in product((0, 1), repeat=shape.d):
-                b = ColVec(B, tuple(element(B, x) for x in bbits))
+                b = ColVec(B, tuple(bbits))
                 members += boolean_member(a, b)
         assert members == shape.members
 

@@ -357,3 +357,7 @@ def test_corrupted_answer_is_a_suite_failure(corrupted_answers):
     failures = int(next(line for line in lines if line.startswith("failures: ")).split()[1])
     assert failures > 0
     assert " raised InternalInvariantError: " in lines[-1]
+    assert next(line for line in lines if line.startswith("FAILURE ")) == (
+        "FAILURE trial 0 (seed 1): A=[-7 6 6 -3 inf; inf 4 -9 -1 -2] b=[inf -9] "
+        "raised InternalInvariantError: claimed solution does not reproduce b"
+    )

@@ -18,6 +18,7 @@ from semilin import (
     SemiringTag,
     TagMismatchError,
     check_certificate,
+    col_sums,
     col_vec,
     identity_matrix,
     is_column_stochastic,
@@ -27,13 +28,21 @@ from semilin import (
     membership_certified,
     normalize,
     one,
+    row_sums,
     row_vec,
+    transpose,
     zero,
     SolveKind,
     element,
 )
-from semilin.sampling import random_monomial, random_system
-from tests.oracles import mat_mul_reference, raw_rows
+from semilin.sampling import (
+    random_col_vec,
+    random_element,
+    random_monomial,
+    random_row_vec,
+    random_system,
+)
+from tests.oracles import mat_mul_reference, raw_rows, sums_reference
 from tests.strategies import ZERO_SUM_FREE_TAGS, EXACT_TAGS, elements, matrices, col_vecs
 
 T = SemiringTag.TROPICAL
@@ -69,6 +78,39 @@ def test_mat_mul_mismatches():
         mat_mul(col_vec(T, [1]), col_vec(T, [1]))
 
 
+def test_containers_take_no_lists():
+    """A list would stay shared with the caller, who could then change the container."""
+    values = [Fraction(1), Fraction(2)]
+    with pytest.raises(TypeError):
+        RowVec(T, values)
+    with pytest.raises(TypeError):
+        ColVec(T, values)
+    with pytest.raises(TypeError):
+        Matrix(T, 2, 2, (tuple(values), values))
+    with pytest.raises(TypeError):
+        Matrix(T, 1, 2, [tuple(values)])
+    v = RowVec(T, tuple(values))
+    values.append(Fraction(3))
+    assert v.length == 2 and hash(v) == hash(row_vec(T, [1, 2]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Matrix("tropical", 1, 1, ((Fraction(1),),)),
+        lambda: ColVec(T, (element(T, 1),)),
+        lambda: ColVec(Q, (INF,)),
+        lambda: RowVec(B, (True,)),
+        lambda: RowVec(B, (Fraction(1),)),
+        lambda: Matrix(T, 1, 2, ((Fraction(1), 3),)),
+    ],
+    ids=["str-tag", "element", "inf-rational", "true-boolean", "fraction-boolean", "int-tropical"],
+)
+def test_containers_reject_what_is_not_a_payload(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_zero_column_matrix_product():
     a = Matrix(T, 2, 0, ((), ()))
     assert mat_mul(a, ColVec(T, ())) == col_vec(T, [INF, INF])
@@ -82,7 +124,7 @@ def test_mat_mul_associative(tag, data):
     y = data.draw(
         st.lists(
             st.lists(elements(tag), min_size=2, max_size=2), min_size=x.cols, max_size=x.cols
-        ).map(lambda rows: Matrix(tag, x.cols, 2, tuple(tuple(r) for r in rows)))
+        ).map(lambda rows: matrix(tag, rows))
     )
     z = data.draw(col_vecs(tag, 2))
     assert mat_mul(mat_mul(x, y), z) == mat_mul(x, mat_mul(y, z))
@@ -102,12 +144,12 @@ def test_mat_mul_matches_raw_reference(tag):
     rng = Random(f"mat-mul-{tag.value}")
 
     def entries(count):
-        return tuple(element(tag, _RAW_DRAWS[tag](rng)) for _ in range(count))
+        return tuple(element(tag, _RAW_DRAWS[tag](rng)).value for _ in range(count))
 
     def mat(d, n):
         return Matrix(tag, d, n, tuple(entries(n) for _ in range(d)))
 
-    for _ in range(150):
+    for k in range(150):
         d, n, m = rng.randint(1, 4), rng.randint(0, 4), rng.randint(1, 4)
         pairs = [
             (mat(d, n), ColVec(tag, entries(n))),
@@ -118,6 +160,17 @@ def test_mat_mul_matches_raw_reference(tag):
             pairs.append((mat(d, n), mat(n, m)))
         for x, y in pairs:
             assert raw_rows(mat_mul(x, y)) == mat_mul_reference(x, y), (x, y)
+        a = pairs[0][0]
+        if n > 0:
+            assert raw_rows(transpose(a)) == [list(col) for col in zip(*raw_rows(a))]
+            assert transpose(transpose(a)) == a
+        sums = ([raw_rows(s)[0][0] for s in col_sums(a)], [raw_rows(s)[0][0] for s in row_sums(a)])
+        assert sums == sums_reference(a), a
+        seed = f"vec-{tag.value}-{k}"
+        draws = random_row_vec(tag, n, Random(seed)).values
+        assert random_col_vec(tag, n, Random(seed)).values == draws
+        elements_rng = Random(seed)
+        assert draws == tuple(random_element(tag, elements_rng).value for _ in range(n))
 
 
 def test_stochastic_predicates():
@@ -171,12 +224,7 @@ def test_normalize_rejects_rational():
 def _diag(tag, entries):
     z = zero(tag)
     size = len(entries)
-    return Matrix(
-        tag,
-        size,
-        size,
-        tuple(tuple(entries[i] if i == j else z for j in range(size)) for i in range(size)),
-    )
+    return matrix(tag, [[entries[i] if i == j else z for j in range(size)] for i in range(size)])
 
 
 @pytest.mark.parametrize("tag", ZERO_SUM_FREE_TAGS)
@@ -197,7 +245,7 @@ def test_normalize_invariants_and_round_trip(tag, data):
         tag,
         a.rows,
         len(system.kept_columns),
-        tuple(tuple(a.entries[i][j] for j in system.kept_columns) for i in range(a.rows)),
+        tuple(tuple(a.values[i][j] for j in system.kept_columns) for i in range(a.rows)),
     )
     assert restored == kept
     assert mat_mul(c, system.b_norm) == b

@@ -15,8 +15,6 @@ import pytest
 import semilin.witness
 from semilin import (
     INF,
-    ColVec,
-    Matrix,
     MembershipDetectedError,
     NotApplicableError,
     SemiringTag,
@@ -190,7 +188,7 @@ def _scaled_tropical_systems(count: int, seed: int):
         scaled = tuple(
             tuple(mul(mul(rs[i], x), cs[j]) for j, x in enumerate(row)) for i, row in enumerate(a.entries)
         )
-        yield Matrix(T, d, n, scaled), ColVec(T, tuple(mul(r, x) for r, x in zip(rs, b.entries)))
+        yield matrix(T, scaled), col_vec(T, [mul(r, x) for r, x in zip(rs, b.entries)])
 
 
 def _raw_separates(a, b, u_raw, v_raw) -> bool:
