@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import filterfalse
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -180,6 +180,26 @@ def _dot(c: Carrier, xs: Iterable[Payload], ys: Iterable[Payload]) -> Payload:
     return reduce(c.add, map(c.mul, xs, ys), c.zero)
 
 
+def _scaled(l: int, xs: Iterable[Payload]) -> list[Payload]:
+    """l·x for each payload x whose denominator divides l, as an int; INF stays INF."""
+    return [x if x is INF else x.numerator * (l // x.denominator) for x in xs]
+
+
+def _image_sides(c: Carrier, xs, ys, equations) -> Iterator[tuple[Payload, Payload]]:
+    """(φ(xs)·φ(r), φ(ys)·φ(s)) per equation (r, s) of xs·r = ys·s, for φ(p) = l·p with l the
+    lcm of the finite denominators in the equation (INF stays INF).  φ is additive and
+    φ(p)·φ(q) = φ(1)·φ(p·q), so the sides agree iff xs·r = ys·s; φ(xs), φ(ys) are reused."""
+    (z,) = _scaled(1, (c.zero,))
+    lv = lcm(*{p.denominator for p in (*xs, *ys) if p is not INF})
+    images = _scaled(lv, xs), _scaled(lv, ys)
+    for r, s in equations:
+        k = lcm(lv, lcm(*{p.denominator for p in (*r, *s) if p is not INF})) // lv
+        l = k * lv
+        x, y = images if k == 1 else ([p if p is INF else p * k for p in im] for im in images)
+        rl, sl = (_scaled(l, r),) * 2 if s is r else (_scaled(l, r), _scaled(l, s))
+        yield reduce(c.add, map(c.mul, x, rl), z), reduce(c.add, map(c.mul, y, sl), z)
+
+
 MatMulOperand = Union[Matrix, RowVec, ColVec]
 
 
@@ -257,11 +277,13 @@ class NormalizedSystem:
     original_cols: int
 
 
-def _check_system(a: Matrix, b: ColVec) -> None:
-    if a.tag is not b.tag:
+def _check_system(a: Matrix, b: ColVec, w: ColVec | None = None) -> None:
+    if a.tag is not b.tag or (w is not None and w.tag is not a.tag):
         raise TagMismatchError("matrix and vector carriers differ")
     if b.length != a.rows:
         raise DimensionMismatchError(f"matrix has {a.rows} rows, vector has {b.length}")
+    if w is not None and w.length != a.cols:
+        raise DimensionMismatchError(f"matrix has {a.cols} columns, solution has {w.length}")
 
 
 def _integer_scaled(a: Matrix, b: ColVec) -> tuple[int, Payload, list[list], list]:
@@ -270,12 +292,8 @@ def _integer_scaled(a: Matrix, b: ColVec) -> tuple[int, Payload, list[list], lis
     # a set, not a generator: a tuple built from a generator is resized, and
     # freed tuples of its length then pile up on the interpreter's free lists
     l = lcm(*{x.denominator for row in (*a.values, b.values) for x in row if x is not INF})
-
-    def scale(x: Payload) -> Payload:
-        return x if x is INF else x.numerator * (l // x.denominator)
-
-    one = scale(_CARRIERS[a.tag].one)
-    return l, one, [list(map(scale, row)) for row in a.values], list(map(scale, b.values))
+    (one,) = _scaled(l, (_CARRIERS[a.tag].one,))
+    return l, one, [_scaled(l, row) for row in a.values], _scaled(l, b.values)
 
 
 def _normalize_raw(c: Carrier, one: Payload, rows: list[list], rhs: list) -> tuple:

@@ -90,8 +90,8 @@ class Element:
 def element(tag: SemiringTag | str, value) -> Element:
     """Coerce an exact raw value into an Element of the given carrier.
 
-    Accepts ints, Fractions, INF (tropical only) and Elements of the same
-    tag.  Floats and bools are rejected: this toolkit is exact-only.
+    Accepts ints, Fractions, INF (tropical only), Elements of the same tag and
+    tokens, read as ``parse_element`` reads them.  Floats and bools are rejected.
     """
     tag = SemiringTag(tag)
     if isinstance(value, Element):
@@ -103,6 +103,8 @@ def element(tag: SemiringTag | str, value) -> Element:
     if isinstance(value, float):
         raise TypeError(f"floats are not exact; got {value!r}")
     carrier = _CARRIERS[tag]
+    if isinstance(value, str):
+        return Element(tag, carrier.parse(value.strip()))
     if value is not INF:
         value = Fraction(value)
         # 0 and 1 take the carrier's own payloads: ints on the two-element carrier

@@ -4,9 +4,10 @@
 backs the answer up: a Solution carries w with A·w = b recomputed exactly,
 a Refutation carries a kernel pair (u, v) with u·A = v·A and u·b != v·b.
 Both are checked in one place, ``_checked_solution`` / ``_checked_refutation``,
-against the caller's original (A, b); a failed check raises
-``InternalInvariantError`` instead of returning.  That is the only check on an
-emitted answer: the CLI and the verification suites do not repeat it.
+against the caller's original (A, b), on ints: each equation is scaled by the lcm
+of its own denominators (``matrices._image_sides``), never the solver's copy.  A
+failed check raises ``InternalInvariantError`` instead of returning.  That is the
+only check on an emitted answer: the CLI and the verification suites repeat none.
 Over the boolean, tropical and rational carriers exactly one of the two is
 returned for every system.  Every stage reads the containers' raw payloads
 (``values``) and no Element is built on the way.  The idempotent carriers:
@@ -45,10 +46,10 @@ from .matrices import (
     Matrix,
     RowVec,
     _check_system,
+    _image_sides,
     _integer_scaled,
     _normalize_raw,
     _unscaled,
-    mat_mul,
     unit_row,
     zeros_col,
     zeros_row,
@@ -227,8 +228,11 @@ def field_solve(a: Matrix, b: ColVec) -> CertifiedSolveResult:
 
 
 def _checked_solution(a: Matrix, b: ColVec, w: ColVec) -> CertifiedSolveResult:
-    """The only way a SOLUTION is built: A·w is recomputed against the original b."""
-    if mat_mul(a, w) != b:
+    """The only way a SOLUTION is built: A·w = b is recomputed exactly, row by row on
+    the integer images of ``_image_sides``, built here from the caller's a, b and w."""
+    _check_system(a, b, w)
+    c = _CARRIERS[a.tag]
+    if any(p != q for p, q in _image_sides(c, w.values, (c.one,), zip(a.values, zip(b.values)))):
         raise InternalInvariantError("claimed solution does not reproduce b")
     return CertifiedSolveResult(SolveKind.SOLUTION, w=w)
 

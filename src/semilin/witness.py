@@ -25,6 +25,7 @@ from .errors import (
     InternalInvariantError,
     MembershipDetectedError,
     NotApplicableError,
+    TagMismatchError,
     TooFewElementsError,
     UnsupportedCarrierError,
 )
@@ -32,6 +33,7 @@ from .matrices import (
     ColVec,
     Matrix,
     RowVec,
+    _image_sides,
     is_column_stochastic,
     is_row_stochastic,
     mat_mul,
@@ -49,10 +51,14 @@ from .semirings import (
 
 
 def check_certificate(a: Matrix, b: ColVec, u: RowVec, v: RowVec) -> bool:
-    """True iff (u, v) lies in the left kernel of A but separates b."""
+    """True iff (u, v) lies in the left kernel of A but separates b, on integer images."""
     if u.length != a.rows or v.length != a.rows or b.length != a.rows:
         raise NotApplicableError("certificate/vector lengths must match the row count")
-    return mat_mul(u, a) == mat_mul(v, a) and mat_mul(u, b) != mat_mul(v, b)
+    if not a.tag is b.tag is u.tag is v.tag:
+        raise TagMismatchError("mixed carriers in a certificate check")
+    equations = [(col, col) for col in (*zip(*a.values), b.values)]
+    *kernel, (ub, vb) = _image_sides(_CARRIERS[a.tag], u.values, v.values, equations)
+    return all(p == q for p, q in kernel) and ub != vb
 
 
 def alternative_ones_preimage(a: Matrix) -> RowVec:

@@ -6,7 +6,10 @@ bug in the decision procedures.  ``gauss_jordan_reference`` is textbook
 elimination over Fractions, the reference for the solver's integer
 elimination; ``boolean_kernel_pair_reference`` is the 4^d pair search and
 ``kernel_witness_reference`` the min-plus block construction, the references
-for the closed-form kernel pair.  ``idempotent_membership_reference`` is the
+for the closed-form kernel pair.  ``solution_holds_reference`` and
+``certificate_holds_reference`` validate an answer by the raw triple loop of
+``mat_mul_reference``, the reference for the solver's integer-image answer
+check.  ``idempotent_membership_reference`` is the
 one exception: the solver's former Element-level pipeline for the idempotent
 carriers, kept verbatim as the reference for its integer-scaled raw core.
 """
@@ -87,6 +90,23 @@ def mat_mul_reference(x, y) -> list[list]:
             out_row.append(acc)
         out.append(out_row)
     return out
+
+
+def solution_holds_reference(a: Matrix, b: ColVec, w: ColVec) -> bool:
+    """A·w = b, by the raw triple loop; an answer of another carrier or shape does not hold."""
+    if not (a.tag is b.tag is w.tag and w.length == a.cols and b.length == a.rows):
+        return False
+    return mat_mul_reference(a, w) == raw_rows(b)
+
+
+def certificate_holds_reference(a: Matrix, b: ColVec, u: RowVec, v: RowVec) -> bool:
+    """u·A = v·A and u·b != v·b, by the raw triple loop; a pair of another
+    carrier or shape does not hold."""
+    if not (a.tag is b.tag is u.tag is v.tag and u.length == v.length == b.length == a.rows):
+        return False
+    return mat_mul_reference(u, a) == mat_mul_reference(v, a) and (
+        mat_mul_reference(u, b) != mat_mul_reference(v, b)
+    )
 
 
 def sums_reference(a: Matrix) -> tuple[list, list]:

@@ -19,7 +19,6 @@ from semilin import (
     SolveKind,
     alternative_ones_preimage,
     boolean_exhaustive_check,
-    check_certificate,
     classify,
     descriptor,
     element,
@@ -46,7 +45,7 @@ from semilin.sampling import (
     random_system,
     random_zero_one_col,
 )
-from tests.oracles import tropical_member_grid
+from tests.oracles import certificate_holds_reference, tropical_member_grid
 
 B = SemiringTag.BOOLEAN
 T = SemiringTag.TROPICAL
@@ -144,7 +143,7 @@ def test_criterion_4_kernel_witness_construction():
         if principal_solution(a, b) is not None:
             continue
         u, v = kernel_witness(a, b)
-        if not check_certificate(a, b, u, v):
+        if not certificate_holds_reference(a, b, u, v):
             failures += 1
         produced += 1
 
@@ -168,7 +167,7 @@ def test_criterion_4_kernel_witness_construction():
         result = membership_certified(a, b)
         if (result.kind is SolveKind.SOLUTION) != oracle_member:
             mismatches += 1
-        if result.kind is SolveKind.REFUTATION and not check_certificate(
+        if result.kind is SolveKind.REFUTATION and not certificate_holds_reference(
             a, b, result.u, result.v
         ):
             mismatches += 1
@@ -256,7 +255,7 @@ def test_criterion_6_scaling_invariance():
         if base.kind is SolveKind.REFUTATION:
             u_mapped = mat_mul(base.u, c_inv)
             v_mapped = mat_mul(base.v, c_inv)
-            if not check_certificate(scaled_a, scaled_b, u_mapped, v_mapped):
+            if not certificate_holds_reference(scaled_a, scaled_b, u_mapped, v_mapped):
                 failures += 1
             else:
                 mapped += 1

@@ -13,15 +13,18 @@ from semilin import (
     TooFewElementsError,
     InvertZeroError,
     add,
+    col_vec,
     descriptor,
     element,
     element_not_below_one,
     format_element,
     inv,
+    matrix,
     mul,
     nat_geq,
     one,
     parse_element,
+    row_vec,
     zero,
 )
 from tests.strategies import ALL_TAGS, IDEMPOTENT_TAGS, ZERO_SUM_FREE_TAGS, elements, nonzero_elements
@@ -134,6 +137,29 @@ def test_parse_element_canonicalizes(tag, token, canonical):
 def test_parse_element_rejects(tag, token):
     with pytest.raises(ValueError):
         parse_element(tag, token)
+
+
+def test_builders_read_strings_with_the_token_grammar():
+    """A string given to ``element`` or a builder is a token, read as ``parse_element`` reads it."""
+    assert matrix(T, [["inf"]]).values == ((INF,),)
+    assert element(T, " 1/2 ") == parse_element(T, "1/2")
+    assert col_vec(Q, ["-2/4"]).values == (Fraction(-1, 2),)
+    assert element(B, "1").value == 1 and type(element(B, "1").value) is int
+    for build in (
+        lambda: col_vec(Q, ["1e3"]),
+        lambda: col_vec(Q, ["1_0"]),
+        lambda: element(B, "0.0"),
+        lambda: row_vec(T, ["1/0"]),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_builders_coerce_non_strings_as_before():
+    assert element(T, 3).value == Fraction(3)
+    assert element(Q, Fraction(2, 4)).value == Fraction(1, 2)
+    assert element(T, element(T, INF)) == zero(T)
+    assert element(B, Fraction(1)).value == 1 and type(element(B, Fraction(1)).value) is int
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)

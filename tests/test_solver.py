@@ -1,7 +1,9 @@
 """Membership decisions: residuation, exact elimination, certificates, extension."""
 
+import math
+from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from random import Random
 
 import pytest
@@ -10,9 +12,12 @@ import semilin.solver
 import semilin.witness
 from semilin import (
     INF,
+    DimensionMismatchError,
     ExtensionKind,
+    InternalInvariantError,
     SemiringTag,
     SolveKind,
+    TagMismatchError,
     UnsupportedCarrierError,
     ZeroColumnError,
     check_certificate,
@@ -36,11 +41,13 @@ from semilin.sampling import (
     random_system,
     random_zero_one_col,
 )
-from semilin.solver import _row_reduce
+from semilin.solver import _checked_solution, _row_reduce
 from tests.oracles import (
     boolean_member,
+    certificate_holds_reference,
     gauss_jordan_reference,
     idempotent_membership_reference,
+    solution_holds_reference,
     tropical_member_grid,
 )
 
@@ -145,7 +152,7 @@ def test_field_solve_refutation():
     b = col_vec(Q, [1, 0])
     result = field_solve(a, b)
     assert result.kind is SolveKind.REFUTATION
-    assert check_certificate(a, b, result.u, result.v)
+    assert certificate_holds_reference(a, b, result.u, result.v)
     assert all(e.value >= 0 for e in result.u.entries)
     assert all(e.value >= 0 for e in result.v.entries)
 
@@ -169,7 +176,7 @@ def test_field_solve_random_dichotomy():
             assert mat_mul(a, result.w) == b
         else:
             assert result.kind is SolveKind.REFUTATION
-            assert check_certificate(a, b, result.u, result.v)
+            assert certificate_holds_reference(a, b, result.u, result.v)
     assert kinds == {SolveKind.SOLUTION, SolveKind.REFUTATION}
 
 
@@ -239,7 +246,7 @@ def test_row_reduce_divides_exactly_on_wide_entries(rank, solvable):
             assert mat_mul(qa, result.w) == qb
         else:
             assert rank < 12 and not solvable
-            assert check_certificate(qa, qb, result.u, result.v)
+            assert certificate_holds_reference(qa, qb, result.u, result.v)
 
 
 # --- membership with certificates ---------------------------------------------------
@@ -253,7 +260,7 @@ def test_membership_tropical_refutation_example():
     # Z = {1} meets both columns, so s_0 = inf: u = e_0 + H·1_Z, v = H·1_Z with H = 0
     assert result.u == row_vec(T, [0, 0])
     assert result.v == row_vec(T, [INF, 0])
-    assert check_certificate(a, b, result.u, result.v)
+    assert certificate_holds_reference(a, b, result.u, result.v)
 
 
 def test_membership_boolean_refutation_example():
@@ -264,7 +271,7 @@ def test_membership_boolean_refutation_example():
     # the closed-form pair u = e_0 + 1_Z, v = 1_Z with Z = {1}
     assert result.u == row_vec(B, [1, 1])
     assert result.v == row_vec(B, [0, 1])
-    assert check_certificate(a, b, result.u, result.v)
+    assert certificate_holds_reference(a, b, result.u, result.v)
 
 
 @pytest.mark.parametrize(
@@ -318,6 +325,102 @@ def test_answer_is_checked_once_against_the_callers_system(monkeypatch, a, b, ki
     assert membership_certified(a, b).kind is kind
     assert len(calls) == 1
     assert calls[0][0] is a and calls[0][1] is b
+
+
+# --- the one answer check against the raw-loop reference ------------------------------
+
+
+def test_solution_check_guards_shape_and_carrier():
+    """A zip-truncated check would pass a short w (or b) on its prefix, and a
+    payload-only one a w of another carrier; each raises instead."""
+    a, b = matrix(T, [[0, 5]]), col_vec(T, [0])
+    for w in (col_vec(T, [0]), col_vec(T, [0, 5, 0])):
+        with pytest.raises(DimensionMismatchError):
+            _checked_solution(a, b, w)
+    with pytest.raises(DimensionMismatchError):
+        _checked_solution(matrix(T, [[0], [1]]), col_vec(T, [0]), col_vec(T, [0]))
+    with pytest.raises(TagMismatchError):
+        _checked_solution(matrix(Q, [[1]]), col_vec(Q, [1]), col_vec(QP, [1]))
+    result = _checked_solution(matrix(Q, [[1]]), col_vec(Q, [1]), col_vec(Q, [1]))
+    assert result.kind is SolveKind.SOLUTION
+
+
+_PRIMES = [p for p in range(2, 2000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def _check_draw(tag, rng: Random, den, size=None):
+    """(A, b, w) over ``tag``: entries k/den() (bits over the booleans, inf at
+    1/5 over min-plus), w drawn alike, and b := A·w for half the draws.  Over
+    the nonnegative rationals n <= d, which keeps the solver's bounded search
+    over free variables short."""
+    d = rng.randint(1, 6)
+    d, n = size or (d, rng.randint(1, d if tag is QP else 6))
+
+    def entry():
+        if tag is B:
+            return rng.randint(0, 1)
+        if tag is T and rng.random() < 0.2:
+            return INF
+        return Fraction(rng.randint(0 if tag is QP else -9, 9), den())
+
+    a = matrix(tag, [[entry() for _ in range(n)] for _ in range(d)])
+    w = col_vec(tag, [entry() for _ in range(n)])
+    b = mat_mul(a, w) if rng.random() < 0.5 else col_vec(tag, [entry() for _ in range(d)])
+    return a, b, w
+
+
+def _corrupted(rng: Random, a, b, vec):
+    """vec with one finite entry moved by 1/l (a bit flipped over the booleans),
+    l the lcm of the denominators in a, b and vec, and over min-plus vec with
+    one finite entry set to inf."""
+    finite = [j for j, x in enumerate(vec.values) if x is not INF]
+    if not finite:
+        return []
+    l = math.lcm(*(x.denominator for x in chain(*a.values, b.values, vec.values) if x is not INF))
+    j = rng.choice(finite)
+    x = vec.values[j]
+    moved = [1 - x] if vec.tag is B else [x + Fraction(1, l)] + ([INF] if vec.tag is T else [])
+    return [type(vec)(vec.tag, vec.values[:j] + (y,) + vec.values[j + 1 :]) for y in moved]
+
+
+def _accepts_solution(a, b, w) -> bool:
+    try:
+        _checked_solution(a, b, w)
+    except InternalInvariantError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("tag", [B, T, QP, Q])
+def test_answer_check_matches_raw_reference(tag):
+    """``_checked_solution`` and ``check_certificate`` accept and reject exactly
+    what the raw triple loop does: solver answers, planted solutions and their
+    corruptions, on integer, k/6 and k/7, and distinct-prime-denominator systems."""
+    rng = Random(919)
+    draws = [_check_draw(tag, rng, lambda: 1) for _ in range(150)]
+    if tag is not B:
+        draws += [_check_draw(tag, rng, lambda: rng.choice((6, 7))) for _ in range(150)]
+        for _ in range(4):
+            primes = iter(_PRIMES)
+            draws.append(_check_draw(tag, rng, lambda: next(primes), size=(5, rng.randint(3, 6))))
+    seen = Counter()
+    for a, b, w in draws:
+        result = membership_certified(a, b)
+        for w0 in [w] + ([result.w] if result.kind is SolveKind.SOLUTION else []):
+            for x in (w0, *_corrupted(rng, a, b, w0)):
+                holds = solution_holds_reference(a, b, x)
+                assert _accepts_solution(a, b, x) == holds, (a, b, x)
+                seen["solution", holds] += 1
+        if result.kind is SolveKind.REFUTATION:
+            u, v = result.u, result.v
+            pairs = [(u, v), (u, u), (v, v)]
+            pairs += [(x, v) for x in _corrupted(rng, a, b, u)]
+            pairs += [(u, x) for x in _corrupted(rng, a, b, v)]
+            for p, q in pairs:
+                holds = certificate_holds_reference(a, b, p, q)
+                assert check_certificate(a, b, p, q) == holds, (a, b, p, q)
+                seen["pair", holds] += 1
+    assert min(seen[k] for k in product(("solution", "pair"), (True, False))) >= 20, seen
 
 
 def _min_plus(rows, w):
@@ -396,7 +499,7 @@ def test_membership_zero_rhs_and_zero_matrix(tag):
     b2 = col_vec(tag, [1, 0] if tag is B else [0, INF])
     result2 = membership_certified(a, b2)
     assert result2.kind is SolveKind.REFUTATION
-    assert check_certificate(a, b2, result2.u, result2.v)
+    assert certificate_holds_reference(a, b2, result2.u, result2.v)
 
 
 @pytest.mark.parametrize("tag", [B, T, Q])
@@ -420,7 +523,7 @@ def test_membership_dichotomy_and_soundness(tag):
         result = membership_certified(a, b)
         assert result.kind in (SolveKind.SOLUTION, SolveKind.REFUTATION)
         if result.kind is SolveKind.REFUTATION:
-            assert check_certificate(a, b, result.u, result.v)
+            assert certificate_holds_reference(a, b, result.u, result.v)
             for _ in range(5):
                 w = random_col_vec(tag, a.cols, rng)
                 assert mat_mul(a, w) != b
@@ -453,7 +556,7 @@ def test_nonneg_refutation_comes_from_elimination():
     b = col_vec(QP, [1, 0])
     result = membership_certified(a, b)
     assert result.kind is SolveKind.REFUTATION
-    assert check_certificate(a, b, result.u, result.v)
+    assert certificate_holds_reference(a, b, result.u, result.v)
 
 
 def test_nonneg_solution_with_free_variables():
@@ -498,7 +601,7 @@ def test_extend_functional_boolean_ill_posed():
     values = col_vec(B, [1, 0])
     result = extend_functional(g, values)
     assert result.kind is ExtensionKind.ILL_POSED
-    assert check_certificate(g, values, result.u, result.v)
+    assert certificate_holds_reference(g, values, result.u, result.v)
 
 
 @pytest.mark.parametrize("tag", [B, T, Q])

@@ -18,6 +18,7 @@ from semilin import (
     MembershipDetectedError,
     NotApplicableError,
     SemiringTag,
+    TagMismatchError,
     TooFewElementsError,
     alternative_ones_preimage,
     boolean_kernel_witness,
@@ -360,3 +361,15 @@ def test_check_certificate_dimension_guard():
     a = matrix(T, [[1]])
     with pytest.raises(NotApplicableError):
         check_certificate(a, col_vec(T, [0]), row_vec(T, [0, 0]), row_vec(T, [0]))
+
+
+@pytest.mark.parametrize("position", range(4), ids=["a", "b", "u", "v"])
+def test_check_certificate_rejects_mixed_carriers(position):
+    """A valid rational pair with one container over the nonnegative rationals
+    raises instead of being compared payload by payload."""
+    args = [matrix(Q, [[1], [1]]), col_vec(Q, [1, 0]), row_vec(Q, [1, 0]), row_vec(Q, [0, 1])]
+    nonneg = [matrix(QP, [[1], [1]]), col_vec(QP, [1, 0]), row_vec(QP, [1, 0]), row_vec(QP, [0, 1])]
+    assert check_certificate(*args)
+    args[position] = nonneg[position]
+    with pytest.raises(TagMismatchError):
+        check_certificate(*args)
