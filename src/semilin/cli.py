@@ -17,6 +17,8 @@ usage or parse errors, 3 for internal invariant violations or suite failures.
 Answers are printed as the solver returns them: it has already checked each
 one against the instance's (A, b) and raises InternalInvariantError (exit 3)
 on a failed check.  Identical argv (and seed) produce byte-identical reports.
+Each command builds one list of (key, label, value) fields, which ``_report``
+renders as text or kv; ``tests/golden_reports.json`` pins the bytes of both.
 """
 
 from __future__ import annotations
@@ -179,20 +181,29 @@ def _tokens(tag: SemiringTag, values) -> str:
     return " ".join(map(_CARRIERS[tag].format, values))
 
 
+def _report(fmt: str, title: str, fields: list[tuple]) -> str:
+    """One report from (key, label, value) fields: kv prints 'key value' per field, text
+    prints the title, then label + value per field.  A None key leaves a field out of
+    kv, a None label out of text."""
+    if fmt == "kv":
+        return "\n".join(f"{key} {value}" for key, _, value in fields if key is not None)
+    lines = [f"{label}{value}" for _, label, value in fields if label is not None]
+    return "\n".join([title, *lines])
+
+
 # certified answers of these kinds are negative: exit code 1
 _NEGATIVE_KINDS = {"refutation", "no-solution", "ill-posed", "not-extendable"}
 
 
 def _render_answer(kind: str, vectors: dict, detail: str, fmt: str) -> tuple[int, str]:
     """Exit code and report for one certified answer: a kind, named vectors, a detail."""
-    sep = " " if fmt == "kv" else " = "
-    lines = [f"kind {kind}" if fmt == "kv" else kind.upper()]
-    lines += [
-        f"{name}{sep}{_tokens(v.tag, v.values)}" for name, v in vectors.items() if v is not None
-    ]
+    fields = [("kind", None, kind)]
+    for name, v in vectors.items():
+        if v is not None:
+            fields.append((name, f"{name} = ", _tokens(v.tag, v.values)))
     if detail:
-        lines.append(f"detail {detail}" if fmt == "kv" else detail)
-    return (1 if kind in _NEGATIVE_KINDS else 0), "\n".join(lines)
+        fields.append(("detail", "", detail))
+    return (1 if kind in _NEGATIVE_KINDS else 0), _report(fmt, kind.upper(), fields)
 
 
 # --- commands -----------------------------------------------------------------
@@ -205,6 +216,13 @@ def _read_instance(path: str) -> tuple[SemiringTag, Matrix, Optional[ColVec]]:
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
     return parse_instance(text)
+
+
+def _tag(name: str) -> SemiringTag:
+    try:
+        return SemiringTag(name)
+    except ValueError:
+        raise _UsageError(f"unknown semiring {name!r}") from None
 
 
 def _cmd_answer(command: str, path: str, fmt: str) -> tuple[int, str]:
@@ -225,142 +243,91 @@ def _cmd_answer(command: str, path: str, fmt: str) -> tuple[int, str]:
 
 def _cmd_normalize(path: str, fmt: str) -> tuple[int, str]:
     tag, a, b = _read_instance(path)
-    if b is None:
-        b = zeros_col(tag, a.rows)
-    system = normalize(a, b)
-    row_scale, col_scale = (
-        " ".join(map(format_element, s)) for s in (system.row_scale, system.col_scale)
-    )
-    col_stoch = is_column_stochastic(a)
-    row_stoch = is_row_stochastic(a)
-    if fmt == "kv":
-        lines = [
-            "kind normalized",
-            f"original-column-stochastic {str(col_stoch).lower()}",
-            f"original-row-stochastic {str(row_stoch).lower()}",
-            f"kept-columns {' '.join(map(str, system.kept_columns))}",
-            f"row-scale {row_scale}",
-            f"col-scale {col_scale}",
-            f"matrix {system.a_norm.rows} {system.a_norm.cols}",
-        ]
-        lines.extend(f"row {_tokens(tag, row)}" for row in system.a_norm.values)
-        lines.append(f"vector {_tokens(tag, system.b_norm.values)}")
-        return 0, "\n".join(lines)
-    lines = [
-        "NORMALIZED",
-        f"original column-stochastic: {str(col_stoch).lower()}",
-        f"original row-stochastic: {str(row_stoch).lower()}",
-        f"kept columns = {' '.join(map(str, system.kept_columns))}",
-        f"row scale = {row_scale}",
-        f"col scale = {col_scale}",
-        format_instance(tag, system.a_norm, system.b_norm).rstrip("\n"),
+    system = normalize(a, zeros_col(tag, a.rows) if b is None else b)
+    a_norm, b_norm = system.a_norm, system.b_norm
+    col_stoch = str(is_column_stochastic(a)).lower()
+    row_stoch = str(is_row_stochastic(a)).lower()
+    fields = [
+        ("kind", None, "normalized"),
+        ("original-column-stochastic", "original column-stochastic: ", col_stoch),
+        ("original-row-stochastic", "original row-stochastic: ", row_stoch),
+        ("kept-columns", "kept columns = ", " ".join(map(str, system.kept_columns))),
+        ("row-scale", "row scale = ", " ".join(map(format_element, system.row_scale))),
+        ("col-scale", "col scale = ", " ".join(map(format_element, system.col_scale))),
+        ("matrix", None, f"{a_norm.rows} {a_norm.cols}"),
+        *(("row", None, _tokens(tag, row)) for row in a_norm.values),
+        ("vector", None, _tokens(tag, b_norm.values)),
+        (None, "", format_instance(tag, a_norm, b_norm).rstrip("\n")),
     ]
-    return 0, "\n".join(lines)
+    return 0, _report(fmt, "NORMALIZED", fields)
+
+
+_REASON_TEXT = {
+    "division-ring": "division ring",
+    "idempotent": "idempotent: 1+1=1",
+    "no-absorbing-e": "no e with 1+1+e=1",
+}
 
 
 def _cmd_classify(tag_name: str, fmt: str) -> tuple[int, str]:
-    try:
-        tag = SemiringTag(tag_name)
-    except ValueError:
-        raise _UsageError(f"unknown semiring {tag_name!r}") from None
+    tag = _tag(tag_name)
     verdict = classify(descriptor(tag))
-    if fmt == "kv":
-        lines = [
-            f"verdict {'left-exact' if verdict.left_exact else 'not-left-exact'}",
-            f"reason {verdict.reason.value}",
-        ]
-        if verdict.witness is not None:
-            a, b = verdict.witness
-            lines.extend(f"witness-row {_tokens(tag, row)}" for row in a.values)
-            lines.append(f"witness-vector {_tokens(tag, b.values)}")
-        return 0, "\n".join(lines)
-    reason_text = {
-        "division-ring": "division ring",
-        "idempotent": "idempotent: 1+1=1",
-        "no-absorbing-e": "no e with 1+1+e=1",
-    }[verdict.reason.value]
-    if verdict.left_exact:
-        return 0, f"LEFT EXACT ({reason_text})"
-    a, b = verdict.witness
-    lines = [
-        f"NOT LEFT EXACT ({reason_text})",
-        "witness " + format_instance(tag, a, b).rstrip("\n").replace("\n", " / "),
-    ]
-    return 0, "\n".join(lines)
-
-
-def _render_exhaustive(report: ExhaustiveReport, fmt: str) -> str:
-    if fmt == "kv":
-        lines = [
-            "mode exhaustive",
-            "tag boolean",
-            f"max-dim {report.d_max}",
-            f"total-systems {report.total_systems}",
-            f"violations {report.total_violations}",
-        ]
-        lines.extend(
-            f"shape {s.d}x{s.n} systems {s.systems} members {s.members} "
-            f"violations {len(s.violations)}"
-            for s in report.shapes
-        )
-        return "\n".join(lines)
-    lines = [f"VERIFY boolean exhaustive (d, n <= {report.d_max})"]
-    lines.extend(
-        f"shape {s.d}x{s.n}: {s.systems} systems, {s.members} solvable, "
-        f"{len(s.violations)} violations"
-        for s in report.shapes
-    )
-    lines.append(f"total: {report.total_systems} systems, {report.total_violations} violations")
-    for s in report.shapes:
-        lines.extend(f"VIOLATION {v}" for v in s.violations)
-    return "\n".join(lines)
-
-
-def _render_dichotomy(report: DichotomyReport, fmt: str) -> str:
-    if fmt == "kv":
-        lines = [
-            "mode randomized",
-            f"tag {report.tag.value}",
-            f"trials {report.trials}",
-            f"seed {report.seed}",
-            f"solutions {report.solutions}",
-            f"refutations {report.refutations}",
-            f"failures {len(report.failures)}",
-        ]
-        lines.extend(f"failure {f}" for f in report.failures)
-        return "\n".join(lines)
-    lines = [
-        f"VERIFY {report.tag.value} randomized (trials {report.trials}, seed {report.seed})",
-        f"solutions: {report.solutions}",
-        f"refutations: {report.refutations}",
-        f"failures: {len(report.failures)}",
-    ]
-    lines.extend(f"FAILURE {f}" for f in report.failures)
-    return "\n".join(lines)
+    exact = "left-exact" if verdict.left_exact else "not-left-exact"
+    fields = [("verdict", None, exact), ("reason", None, verdict.reason.value)]
+    if verdict.witness is not None:
+        a, b = verdict.witness
+        fields += [("witness-row", None, _tokens(tag, row)) for row in a.values]
+        fields.append(("witness-vector", None, _tokens(tag, b.values)))
+        witness = format_instance(tag, a, b).rstrip("\n").replace("\n", " / ")
+        fields.append((None, "witness ", witness))
+    head = "LEFT EXACT" if verdict.left_exact else "NOT LEFT EXACT"
+    return 0, _report(fmt, f"{head} ({_REASON_TEXT[verdict.reason.value]})", fields)
 
 
 def _cmd_verify(tag_name: str, opts: dict, fmt: str) -> tuple[int, str]:
-    try:
-        tag = SemiringTag(tag_name)
-    except ValueError:
-        raise _UsageError(f"unknown semiring {tag_name!r}") from None
+    tag = _tag(tag_name)
     if descriptor(tag).carrier_size == "two" and "trials" not in opts:
         if "seed" in opts:
             raise _UsageError("--seed applies to the randomized suite only")
         max_dim = opts.get("max-dim", 3)
         try:
-            report = boolean_exhaustive_check(max_dim, max_dim)
+            sweep = boolean_exhaustive_check(max_dim, max_dim)
         except ValueError as exc:
             raise _UsageError(f"--max-dim: {exc}") from None
-        return (3 if report.total_violations else 0), _render_exhaustive(report, fmt)
+        total, bad = sweep.total_systems, sweep.total_violations
+        fields = [
+            ("mode", None, "exhaustive"),
+            ("tag", None, "boolean"),
+            ("max-dim", None, sweep.d_max),
+            ("total-systems", None, total),
+            ("violations", None, bad),
+        ]
+        for s in sweep.shapes:
+            shape, n, m, v = f"{s.d}x{s.n}", s.systems, s.members, len(s.violations)
+            fields.append(("shape", None, f"{shape} systems {n} members {m} violations {v}"))
+            fields.append((None, "shape ", f"{shape}: {n} systems, {m} solvable, {v} violations"))
+        fields.append((None, "total: ", f"{total} systems, {bad} violations"))
+        fields += [(None, "VIOLATION ", v) for s in sweep.shapes for v in s.violations]
+        title = f"VERIFY boolean exhaustive (d, n <= {sweep.d_max})"
+        return (3 if bad else 0), _report(fmt, title, fields)
     if "max-dim" in opts:
         raise _UsageError("--max-dim applies to the boolean exhaustive sweep only")
     trials = opts.get("trials", 1000)
     if trials < 1:
         raise _UsageError("--trials needs a positive integer")
-    seed = opts.get("seed", 42)
-    report = randomized_dichotomy_suite(tag, trials, seed)
-    return (3 if report.failures else 0), _render_dichotomy(report, fmt)
+    suite = randomized_dichotomy_suite(tag, trials, opts.get("seed", 42))
+    fields = [
+        ("mode", None, "randomized"),
+        ("tag", None, suite.tag.value),
+        ("trials", None, suite.trials),
+        ("seed", None, suite.seed),
+        ("solutions", "solutions: ", suite.solutions),
+        ("refutations", "refutations: ", suite.refutations),
+        ("failures", "failures: ", len(suite.failures)),
+        *(("failure", "FAILURE ", f) for f in suite.failures),
+    ]
+    title = f"VERIFY {suite.tag.value} randomized (trials {suite.trials}, seed {suite.seed})"
+    return (3 if suite.failures else 0), _report(fmt, title, fields)
 
 
 # --- dispatch -----------------------------------------------------------------
@@ -371,32 +338,25 @@ _INT_FLAGS = {"--seed": "seed", "--trials": "trials", "--max-dim": "max-dim"}
 def _parse_argv(argv: list[str]) -> tuple[str, list[str], str, dict]:
     if not argv:
         raise _UsageError("missing command")
-    command, rest = argv[0], argv[1:]
     fmt = "text"
     opts: dict = {}
     positional: list[str] = []
-    i = 0
-    while i < len(rest):
-        arg = rest[i]
+    rest = iter(argv[1:])
+    for arg in rest:
         if arg == "--format":
-            if i + 1 >= len(rest) or rest[i + 1] not in ("text", "kv"):
+            fmt = next(rest, None)
+            if fmt not in ("text", "kv"):
                 raise _UsageError("--format needs 'text' or 'kv'")
-            fmt = rest[i + 1]
-            i += 2
         elif arg in _INT_FLAGS:
-            if i + 1 >= len(rest):
-                raise _UsageError(f"{arg} needs an integer value")
             try:
-                opts[_INT_FLAGS[arg]] = _decimal(rest[i + 1], signed=True)
+                opts[_INT_FLAGS[arg]] = _decimal(next(rest, ""), signed=True)
             except ValueError:
                 raise _UsageError(f"{arg} needs an integer value") from None
-            i += 2
         elif arg.startswith("-"):
             raise _UsageError(f"unknown option {arg}")
         else:
             positional.append(arg)
-            i += 1
-    return command, positional, fmt, opts
+    return argv[0], positional, fmt, opts
 
 
 def run_command(argv: Sequence[str]) -> tuple[int, str]:
@@ -422,8 +382,6 @@ def run_command(argv: Sequence[str]) -> tuple[int, str]:
         raise _UsageError(f"unknown command {command!r}")
     except _UsageError as exc:
         return 2, f"error: {exc}\n{USAGE}"
-    except ParseError as exc:
-        return 2, f"error: {exc}"
     except InternalInvariantError as exc:
         return 3, f"internal invariant violation: {exc}"
     except ToolkitError as exc:

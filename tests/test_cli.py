@@ -14,7 +14,7 @@ from semilin import (
     matrix,
     parse_instance,
 )
-from semilin.cli import run_command
+from semilin.cli import USAGE, run_command
 from semilin.sampling import random_system
 
 T = SemiringTag.TROPICAL
@@ -249,46 +249,121 @@ def test_verify_randomized_kv():
     assert int(lines["solutions"]) + int(lines["refutations"]) == 60
 
 
+def test_exhaustive_violation_exits_three(monkeypatch):
+    """A sweep that finds a violation is a suite failure; both reports list the bad shape."""
+    from semilin.classify import ExhaustiveReport, ShapeReport
+
+    shapes = (ShapeReport(1, 1, 4, 3, ()), ShapeReport(1, 2, 8, 6, ("d=1 n=2 A=0b01 b=0b1",)))
+    report = ExhaustiveReport(2, 2, shapes, 12, 1)
+    monkeypatch.setattr("semilin.cli.boolean_exhaustive_check", lambda d, n: report)
+    code, text = run_command(["verify", "boolean", "--max-dim", "2"])
+    assert code == 3
+    assert text.splitlines() == [
+        "VERIFY boolean exhaustive (d, n <= 2)",
+        "shape 1x1: 4 systems, 3 solvable, 0 violations",
+        "shape 1x2: 8 systems, 6 solvable, 1 violations",
+        "total: 12 systems, 1 violations",
+        "VIOLATION d=1 n=2 A=0b01 b=0b1",
+    ]
+    code, kv = run_command(["verify", "boolean", "--max-dim", "2", "--format", "kv"])
+    assert code == 3
+    assert kv.splitlines() == [
+        "mode exhaustive",
+        "tag boolean",
+        "max-dim 2",
+        "total-systems 12",
+        "violations 1",
+        "shape 1x1 systems 4 members 3 violations 0",
+        "shape 1x2 systems 8 members 6 violations 1",
+    ]
+
+
 def test_reports_are_deterministic():
     argv = ["verify", "rational", "--trials", "40", "--seed", "12"]
     assert run_command(argv) == run_command(argv)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        [],
-        ["frobnicate"],
-        ["solve"],
-        ["solve", "a", "b"],
+USAGE_ERRORS = [
+    ([], "error: missing command"),
+    (["frobnicate"], "error: unknown command 'frobnicate'"),
+    (["solve"], "error: 'solve' takes exactly one instance file"),
+    (["solve", "a", "b"], "error: 'solve' takes exactly one instance file"),
+    (
         ["solve", "/nonexistent/file.inst"],
-        ["classify", "octonions"],
+        "error: cannot read /nonexistent/file.inst: "
+        "[Errno 2] No such file or directory: '/nonexistent/file.inst'",
+    ),
+    (["classify", "octonions"], "error: unknown semiring 'octonions'"),
+    (
         ["verify", "tropical", "--max-dim", "3"],
-        ["verify", "tropical", "--trials", "abc"],
-        ["solve", "x", "--format", "yaml"],
+        "error: --max-dim applies to the boolean exhaustive sweep only",
+    ),
+    (["verify", "tropical", "--trials", "abc"], "error: --trials needs an integer value"),
+    (["solve", "x", "--format", "yaml"], "error: --format needs 'text' or 'kv'"),
+    (
         ["verify", "boolean", "--max-dim", "5"],
+        "error: --max-dim: exhaustive sweep is sized for dimensions 1..4",
+    ),
+    (
         ["verify", "boolean", "--max-dim", "0"],
-        ["verify", "boolean", "--seed", "7"],
-        ["verify", "tropical", "--trials", "-3"],
-        ["verify", "tropical", "--trials", "0"],
+        "error: --max-dim: exhaustive sweep is sized for dimensions 1..4",
+    ),
+    (["verify", "boolean", "--seed", "7"], "error: --seed applies to the randomized suite only"),
+    (["verify", "tropical", "--trials", "-3"], "error: --trials needs a positive integer"),
+    (["verify", "tropical", "--trials", "0"], "error: --trials needs a positive integer"),
+    (
         ["solve", str(DATA / "exponent_token.inst")],
+        "error: line 5: bad rational token '1e5000': expected an integer or p/q",
+    ),
+    (
         ["normalize", str(DATA / "no_columns_no_vector.inst")],
+        "error: line 2: a matrix with no columns needs a vector block",
+    ),
+    (
         ["solve", str(DATA / "shape_underscore.inst")],
+        "error: line 2: matrix dimensions must be unsigned integers",
+    ),
+    (
         ["solve", str(DATA / "shape_plus_sign.inst")],
+        "error: line 2: matrix dimensions must be unsigned integers",
+    ),
+    (
         ["solve", str(DATA / "shape_arabic_indic_digit.inst")],
+        "error: line 2: matrix dimensions must be unsigned integers",
+    ),
+    (
         ["solve", str(DATA / "vector_length_underscore.inst")],
+        "error: line 4: vector length must be an unsigned integer",
+    ),
+    (
         ["solve", str(DATA / "vector_length_plus_sign.inst")],
-        ["verify", "tropical", "--trials", "1_0"],
-        ["verify", "tropical", "--seed", "+2"],
-        ["verify", "tropical", "--seed", "1_2"],
-        ["verify", "tropical", "--trials", "\u0662"],
-        ["verify", "boolean", "--max-dim", "\u0662"],
-    ],
+        "error: line 4: vector length must be an unsigned integer",
+    ),
+    (["verify", "tropical", "--trials", "1_0"], "error: --trials needs an integer value"),
+    (["verify", "tropical", "--seed", "+2"], "error: --seed needs an integer value"),
+    (["verify", "tropical", "--seed", "1_2"], "error: --seed needs an integer value"),
+    (["verify", "tropical", "--trials", "\u0662"], "error: --trials needs an integer value"),
+    (["verify", "boolean", "--max-dim", "\u0662"], "error: --max-dim needs an integer value"),
+    (["verify", "tropical", "--seed"], "error: --seed needs an integer value"),
+    (["solve", "x", "--format"], "error: --format needs 'text' or 'kv'"),
+    (["solve", "x", "--verbose"], "error: unknown option --verbose"),
+    (["normalize", "x", "--trials", "5"], "error: 'normalize' takes no numeric options"),
+    (["classify"], "error: 'classify' takes exactly one semiring name"),
+    (["classify", "tropical", "--seed", "1"], "error: 'classify' takes exactly one semiring name"),
+    (["verify"], "error: 'verify' takes exactly one semiring name"),
+    (["verify", "octonions"], "error: unknown semiring 'octonions'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, first_line", USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))]
 )
-def test_usage_errors_exit_two(argv):
+def test_usage_errors_exit_two(argv, first_line):
     code, report = run_command(argv)
     assert code == 2
-    assert report.startswith("error:")
+    # instance parse errors name their line and print no usage text
+    tail = "" if first_line.startswith("error: line ") else "\n" + USAGE
+    assert report == first_line + tail
 
 
 def test_non_utf8_instance_is_a_usage_error(tmp_path):
@@ -359,5 +434,24 @@ def test_corrupted_answer_is_a_suite_failure(corrupted_answers):
     assert " raised InternalInvariantError: " in lines[-1]
     assert next(line for line in lines if line.startswith("FAILURE ")) == (
         "FAILURE trial 0 (seed 1): A=[-7 6 6 -3 inf; inf 4 -9 -1 -2] b=[inf -9] "
+        "raised InternalInvariantError: claimed solution does not reproduce b"
+    )
+    # the kv report carries the same lines under lowercase keys
+    argv = ["verify", "tropical", "--trials", "40", "--seed", "1", "--format", "kv"]
+    code, report = run_command(argv)
+    assert code == 3
+    lines = report.splitlines()
+    assert lines[:7] == [
+        "mode randomized",
+        "tag tropical",
+        "trials 40",
+        "seed 1",
+        "solutions 0",
+        "refutations 0",
+        f"failures {failures}",
+    ]
+    assert len(lines) == 7 + failures
+    assert lines[7] == (
+        "failure trial 0 (seed 1): A=[-7 6 6 -3 inf; inf 4 -9 -1 -2] b=[inf -9] "
         "raised InternalInvariantError: claimed solution does not reproduce b"
     )
