@@ -92,56 +92,55 @@ class ExhaustiveReport:
     total_violations: int
 
 
+def _subset_ors(masks: list[int]) -> list[int]:
+    """The OR of each subset u of ``masks`` (bit k of u picks masks[k]), at index u."""
+    ors = [0]
+    for m in masks:
+        ors += [x | m for x in ors]
+    return ors
+
+
+def _sweep_masks(a_bits: int, d: int, n: int, hits: list[int]) -> tuple[int, int]:
+    """(image, separated) of the d x n matrix with entry (i, j) at bit i*n + j of
+    ``a_bits``: 2^d-bit masks of the b equal to some A·w, and of the b that some
+    u, v with u·A = v·A separate, where ``hits[u]`` holds the b with u·b = 1."""
+    rows = [(a_bits >> (i * n)) & ((1 << n) - 1) for i in range(d)]
+    cols = [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(n)]
+    image = separated = 0
+    for x in _subset_ors(cols):
+        image |= 1 << x
+    first: dict[int, int] = {}
+    for u, key in enumerate(_subset_ors(rows)):
+        separated |= hits[first.setdefault(key, u)] ^ hits[u]
+    return image, separated
+
+
 def boolean_exhaustive_check(d_max: int, n_max: int) -> ExhaustiveReport:
     """Verify kernel-inclusion implies membership for every small boolean system.
 
     For each shape d x n with d <= d_max, n <= n_max, enumerates all matrices
     and right-hand sides; for every non-member b it confirms some pair (u, v)
-    has u·A = v·A but u·b != v·b.  Systems are encoded as bitmasks, which
-    keeps the full d = n = 3 sweep (4096 systems in that shape alone) fast.
+    has u·A = v·A but u·b != v·b.  Each matrix is decided once for all 2^d
+    right-hand sides, the bits of one int, from the ORs of all subsets of its
+    columns (its image) and rows (its left-kernel classes): O(2^n + 2^d) steps
+    keep the full d = n = 3 sweep (4096 systems in that shape alone) fast.
     """
     if not (1 <= d_max <= 4 and 1 <= n_max <= 4):
         raise ValueError("exhaustive sweep is sized for dimensions 1..4")
     shapes = []
     for d in range(1, d_max + 1):
+        hits = [sum(1 << b for b in range(1 << d) if u & b) for u in range(1 << d)]
         for n in range(1, n_max + 1):
             violations: list[str] = []
             members = 0
             for a_bits in range(1 << (d * n)):
-                row_masks = [(a_bits >> (i * n)) & ((1 << n) - 1) for i in range(d)]
-                col_masks = [
-                    sum(((row_masks[i] >> j) & 1) << i for i in range(d)) for j in range(n)
-                ]
-                for b_mask in range(1 << d):
-                    member = any(
-                        all(
-                            ((row_masks[i] & w) != 0) == bool((b_mask >> i) & 1)
-                            for i in range(d)
-                        )
-                        for w in range(1 << n)
-                    )
-                    if member:
-                        members += 1
-                        continue
-                    # non-member: the left kernel has to separate b somewhere
-                    seen: dict[tuple[bool, ...], bool] = {}
-                    inclusion_holds = True
-                    for u in range(1 << d):
-                        key = tuple((u & c) != 0 for c in col_masks)
-                        b_bit = (u & b_mask) != 0
-                        if key in seen:
-                            if seen[key] != b_bit:
-                                inclusion_holds = False
-                                break
-                        else:
-                            seen[key] = b_bit
-                    if inclusion_holds:
-                        violations.append(
-                            f"d={d} n={n} A=0b{a_bits:0{d * n}b} b=0b{b_mask:0{d}b}"
-                        )
-            shapes.append(
-                ShapeReport(d, n, (1 << (d * n)) * (1 << d), members, tuple(violations))
-            )
+                image, separated = _sweep_masks(a_bits, d, n, hits)
+                members += image.bit_count()
+                bad = ~(image | separated)  # non-members that no kernel pair separates
+                for b in range(1 << d):
+                    if (bad >> b) & 1:
+                        violations.append(f"d={d} n={n} A=0b{a_bits:0{d * n}b} b=0b{b:0{d}b}")
+            shapes.append(ShapeReport(d, n, 1 << (d * n + d), members, tuple(violations)))
     total = sum(s.systems for s in shapes)
     bad = sum(len(s.violations) for s in shapes)
     return ExhaustiveReport(d_max, n_max, tuple(shapes), total, bad)

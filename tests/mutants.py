@@ -3,10 +3,11 @@
 Run from anywhere with ``python tests/mutants.py`` (pytest must be importable).
 For each entry the runner copies ``src/`` to a temporary directory, replaces
 the entry's old text with its replacement there, and runs only the entry's
-tests against the copy with ``pytest -x``.  A mutant is caught when pytest
-reports a failing test (exit code 1); an import or collection error does not
-count.  The old text must occur exactly once in ``src/``, so a refactor that
-moves or rewrites the mutated code fails this gate until the table follows it.
+tests against the copy with ``pytest -x``, two mutants at a time.  A mutant is
+caught when pytest reports a failing test (exit code 1); an import or
+collection error does not count.  The old text must occur exactly once in
+``src/``, so a refactor that moves or rewrites the mutated code fails this gate
+until the table follows it.
 Before any mutant, the named tests must pass on the unmutated copy.
 
 Exit code 0 when every mutant is caught, 1 otherwise.  Pytest collects only
@@ -20,13 +21,16 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
+CLASSIFY = "tests/test_classify.py::"
 CLI = "tests/test_cli.py::"
 SOLVER = "tests/test_solver.py::"
+WITNESS = "tests/test_witness.py::"
 
 # (path under src/, exact old text, replacement, tests of which one must fail)
 MUTANTS = [
@@ -162,6 +166,62 @@ MUTANTS = [
         "digits = str(x.numerator)",
         [CLI + "test_answers_beyond_the_int_to_str_digit_limit_render[solve-text]"],
     ),
+    # --- the shape and carrier guards in front of the answer check -----------------
+    (
+        "semilin/matrices.py",
+        "if a.tag is not b.tag or (w is not None and w.tag is not a.tag):",
+        "if w is not None and w.tag is not a.tag:",
+        [SOLVER + "test_membership_rejects_a_vector_of_another_carrier"],
+    ),
+    (
+        "semilin/witness.py",
+        "v.length != a.rows or b.length",
+        "b.length",
+        [WITNESS + "test_check_certificate_rejects_short_vectors[v]"],
+    ),
+    (
+        "semilin/witness.py",
+        " or b.length != a.rows:",
+        ":",
+        [WITNESS + "test_check_certificate_rejects_short_vectors[b]"],
+    ),
+    # --- the per-matrix boolean sweep ------------------------------------------------
+    (  # no b ever in the image
+        "semilin/classify.py",
+        "image |= 1 << x",
+        "image |= 0",
+        [CLASSIFY + "test_exhaustive_report_matches_reference"],
+    ),
+    (  # the separated update skipped
+        "semilin/classify.py",
+        "separated |= hits[first.setdefault(key, u)] ^ hits[u]",
+        "pass",
+        [CLASSIFY + "test_exhaustive_report_matches_reference"],
+    ),
+    (  # every b separated: no violation is possible, and the reports stay the same
+        "semilin/classify.py",
+        "image = separated = 0",
+        "image, separated = 0, -1",
+        [CLASSIFY + "test_sweep_masks_match_oracles"],
+    ),
+    (  # hits seeded with u | b
+        "semilin/classify.py",
+        "if u & b)",
+        "if u | b)",
+        [CLASSIFY + "test_exhaustive_report_matches_reference"],
+    ),
+    (  # violations never emitted
+        "semilin/classify.py",
+        "if (bad >> b) & 1:",
+        "if False:",
+        [CLASSIFY + "test_exhaustive_violation_lines_ascend_in_b"],
+    ),
+    (  # violations in descending b
+        "semilin/classify.py",
+        "for b in range(1 << d):",
+        "for b in reversed(range(1 << d)):",
+        [CLASSIFY + "test_exhaustive_violation_lines_ascend_in_b"],
+    ),
 ]
 
 
@@ -177,6 +237,17 @@ def _copy_src(tmp: str) -> Path:
     return copy
 
 
+def _run_mutant(mutant: tuple[str, str, str, list[str]]) -> int:
+    """The pytest exit code of the mutant's tests on a mutated copy of ``src/``."""
+    path, old, new, tests = mutant
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = _copy_src(tmp)
+        target = copy / path
+        text = target.read_text(encoding="utf-8")
+        target.write_text(text.replace(old, new), encoding="utf-8")
+        return _run_pytest(copy, tests)
+
+
 def main() -> int:
     problems = []
     sources = [f.read_text(encoding="utf-8") for f in SRC.rglob("*.py")]
@@ -190,17 +261,13 @@ def main() -> int:
             code = _run_pytest(_copy_src(tmp), tests)
         if code != 0:
             problems.append(f"the named tests do not pass on unmutated src/ (pytest exit {code})")
-    for i, (path, old, new, tests) in enumerate([] if problems else MUTANTS):
-        with tempfile.TemporaryDirectory() as tmp:
-            copy = _copy_src(tmp)
-            target = copy / path
-            text = target.read_text(encoding="utf-8")
-            target.write_text(text.replace(old, new), encoding="utf-8")
-            code = _run_pytest(copy, tests)
-        verdict = "caught" if code == 1 else f"SURVIVED (pytest exit {code})"
-        print(f"mutant {i}: {path}: {old!r} -> {new!r}: {verdict}", flush=True)
-        if code != 1:
-            problems.append(f"mutant {i} survived")
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        codes = pool.map(_run_mutant, [] if problems else MUTANTS)
+        for i, ((path, old, new, _), code) in enumerate(zip(MUTANTS, codes)):
+            verdict = "caught" if code == 1 else f"SURVIVED (pytest exit {code})"
+            print(f"mutant {i}: {path}: {old!r} -> {new!r}: {verdict}", flush=True)
+            if code != 1:
+                problems.append(f"mutant {i} survived")
     for problem in problems:
         print(problem)
     print(f"{len(MUTANTS)} mutants, {len(problems)} problems")

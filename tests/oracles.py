@@ -9,7 +9,9 @@ elimination; ``boolean_kernel_pair_reference`` is the 4^d pair search and
 for the closed-form kernel pair.  ``solution_holds_reference`` and
 ``certificate_holds_reference`` validate an answer by the raw triple loop of
 ``mat_mul_reference``, the reference for the solver's integer-image answer
-check.  ``idempotent_membership_reference`` is the
+check.  ``boolean_sweep_reference`` is the exhaustive boolean sweep decided
+one (A, b) at a time, the reference for the per-matrix bitmask sweep.
+``idempotent_membership_reference`` is the
 one exception: the solver's former Element-level pipeline for the idempotent
 carriers, kept verbatim as the reference for its integer-scaled raw core.
 """
@@ -45,6 +47,7 @@ from semilin import (
     zeros_col,
     zeros_row,
 )
+from semilin.classify import ExhaustiveReport, ShapeReport
 from semilin.semirings import _CARRIERS
 
 
@@ -202,6 +205,58 @@ def boolean_kernel_pair_reference(
             if u_cols == v_cols and u_b != v_b:
                 return u, v
     return None
+
+
+def boolean_sweep_reference(d_max: int, n_max: int) -> ExhaustiveReport:
+    """The exhaustive boolean sweep, one (A, b) at a time by two brute-force loops.
+
+    For each shape d x n up to (d_max, n_max), every matrix (entry (i, j) at
+    bit i*n + j) and every b (entry i at bit i): b is a member when one of the
+    2^n bit vectors w solves A·w = b; a non-member is a violation when no two
+    of the 2^d rows u, v have u·A = v·A and u·b != v·b.
+    """
+    shapes = []
+    for d in range(1, d_max + 1):
+        for n in range(1, n_max + 1):
+            violations: list[str] = []
+            members = 0
+            for a_bits in range(1 << (d * n)):
+                row_masks = [(a_bits >> (i * n)) & ((1 << n) - 1) for i in range(d)]
+                col_masks = [
+                    sum(((row_masks[i] >> j) & 1) << i for i in range(d)) for j in range(n)
+                ]
+                for b_mask in range(1 << d):
+                    member = any(
+                        all(
+                            ((row_masks[i] & w) != 0) == bool((b_mask >> i) & 1)
+                            for i in range(d)
+                        )
+                        for w in range(1 << n)
+                    )
+                    if member:
+                        members += 1
+                        continue
+                    seen: dict[tuple[bool, ...], bool] = {}
+                    inclusion_holds = True
+                    for u in range(1 << d):
+                        key = tuple((u & c) != 0 for c in col_masks)
+                        b_bit = (u & b_mask) != 0
+                        if key in seen:
+                            if seen[key] != b_bit:
+                                inclusion_holds = False
+                                break
+                        else:
+                            seen[key] = b_bit
+                    if inclusion_holds:
+                        violations.append(
+                            f"d={d} n={n} A=0b{a_bits:0{d * n}b} b=0b{b_mask:0{d}b}"
+                        )
+            shapes.append(
+                ShapeReport(d, n, (1 << (d * n)) * (1 << d), members, tuple(violations))
+            )
+    total = sum(s.systems for s in shapes)
+    bad = sum(len(s.violations) for s in shapes)
+    return ExhaustiveReport(d_max, n_max, tuple(shapes), total, bad)
 
 
 def kernel_witness_reference(a: Matrix, b: ColVec) -> Optional[tuple[list, list]]:

@@ -1,13 +1,16 @@
 """Exactness classification and the two verification suites."""
 
 from dataclasses import replace
+from importlib import import_module
 from random import Random
 
 import pytest
 
 from semilin import (
+    ColVec,
     ExactnessReason,
     InvalidDescriptorError,
+    Matrix,
     SemiringTag,
     SolveKind,
     UnsupportedCarrierError,
@@ -18,8 +21,9 @@ from semilin import (
     non_exactness_instance,
     randomized_dichotomy_suite,
 )
+from semilin.classify import _sweep_masks
 from semilin.sampling import random_col_vec, random_matrix
-from tests.oracles import boolean_kernel_inclusion, boolean_member
+from tests.oracles import boolean_kernel_inclusion, boolean_member, boolean_sweep_reference
 
 B = SemiringTag.BOOLEAN
 T = SemiringTag.TROPICAL
@@ -87,8 +91,6 @@ def test_exhaustive_membership_counts_match_oracle():
     report = boolean_exhaustive_check(2, 2)
     from itertools import product
 
-    from semilin import ColVec, Matrix
-
     for shape in report.shapes:
         members = 0
         for bits in product((0, 1), repeat=shape.d * shape.n):
@@ -101,6 +103,68 @@ def test_exhaustive_membership_counts_match_oracle():
                 b = ColVec(B, tuple(bbits))
                 members += boolean_member(a, b)
         assert members == shape.members
+
+
+def test_exhaustive_report_matches_reference():
+    """Every shape up to 3x3, violation lines included, as the per-(A, b) loops count it."""
+    assert boolean_exhaustive_check(3, 3) == boolean_sweep_reference(3, 3)
+    assert boolean_exhaustive_check(1, 3) == boolean_sweep_reference(1, 3)
+
+
+def test_sweep_masks_match_oracles():
+    """Per matrix, bit b of the image and separation masks is the oracles'
+    verdict on b, members included: every violation count is 0, so a sweep
+    that never flagged one would pass a report-only test."""
+    for d in range(1, 4):
+        hits = [sum(1 << b for b in range(1 << d) if u & b) for u in range(1 << d)]
+        for n in range(1, 4):
+            for a_bits in range(1 << (d * n)):
+                image, separated = _sweep_masks(a_bits, d, n, hits)
+                rows = tuple(
+                    tuple((a_bits >> (i * n + j)) & 1 for j in range(n)) for i in range(d)
+                )
+                a = Matrix(B, d, n, rows)
+                for b_mask in range(1 << d):
+                    b = ColVec(B, tuple((b_mask >> i) & 1 for i in range(d)))
+                    assert (image >> b_mask) & 1 == boolean_member(a, b)
+                    assert (separated >> b_mask) & 1 == (not boolean_kernel_inclusion(a, b))
+
+
+# members of each shape d x n, as the per-(A, b) loops of boolean_sweep_reference count them
+_MEMBERS_UP_TO_4 = {
+    (1, 1): 3, (1, 2): 7, (1, 3): 15, (1, 4): 31,
+    (2, 1): 7, (2, 2): 39, (2, 3): 187, (2, 4): 831,
+    (3, 1): 15, (3, 2): 187, (3, 3): 1977, (3, 4): 18943,
+    (4, 1): 31, (4, 2): 831, (4, 3): 18943, (4, 4): 386463,
+}  # fmt: skip
+
+
+def test_exhaustive_max_dim_four_pinned():
+    report = boolean_exhaustive_check(4, 4)
+    assert report.total_systems == 1_157_324
+    assert report.total_violations == 0
+    assert {(s.d, s.n): s.members for s in report.shapes} == _MEMBERS_UP_TO_4
+    for s in report.shapes:
+        assert s.systems == 1 << (s.d * s.n + s.d)
+        assert s.violations == ()
+
+
+def test_exhaustive_violation_lines_ascend_in_b(monkeypatch):
+    """With only b = 0 in each image and nothing separated, every other b is a
+    violation, listed matrix by matrix and in ascending b within each."""
+    # the package's ``classify`` attribute is the function, so patch the module itself
+    module = import_module("semilin.classify")
+    monkeypatch.setattr(module, "_sweep_masks", lambda a_bits, d, n, hits: (1, 0))
+    report = boolean_exhaustive_check(2, 1)
+    assert [(s.members, len(s.violations)) for s in report.shapes] == [(2, 2), (4, 12)]
+    assert report.shapes[0].violations == ("d=1 n=1 A=0b0 b=0b1", "d=1 n=1 A=0b1 b=0b1")
+    assert report.shapes[1].violations[:4] == (
+        "d=2 n=1 A=0b00 b=0b01",
+        "d=2 n=1 A=0b00 b=0b10",
+        "d=2 n=1 A=0b00 b=0b11",
+        "d=2 n=1 A=0b01 b=0b01",
+    )
+    assert report.total_violations == 14
 
 
 # --- randomized dichotomy suite ------------------------------------------------------

@@ -345,6 +345,13 @@ def test_solution_check_guards_shape_and_carrier():
     assert result.kind is SolveKind.SOLUTION
 
 
+def test_membership_rejects_a_vector_of_another_carrier():
+    """A tropical A with a rational b of the same payloads raises instead of
+    being solved as one tropical system."""
+    with pytest.raises(TagMismatchError):
+        membership_certified(matrix(T, [[0, 5]]), col_vec(Q, [0]))
+
+
 _PRIMES = [p for p in range(2, 2000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
 
 

@@ -363,6 +363,17 @@ def test_check_certificate_dimension_guard():
         check_certificate(a, col_vec(T, [0]), row_vec(T, [0, 0]), row_vec(T, [0]))
 
 
+@pytest.mark.parametrize("position", [1, 2, 3], ids=["b", "u", "v"])
+def test_check_certificate_rejects_short_vectors(position):
+    """A valid pair with one of b, u, v cut to its first entry raises instead
+    of being compared on the prefix the other vectors share with it."""
+    args = [matrix(B, [[1], [0]]), col_vec(B, [0, 1]), row_vec(B, [0, 1]), row_vec(B, [0, 0])]
+    assert check_certificate(*args)
+    args[position] = type(args[position])(B, args[position].values[:1])
+    with pytest.raises(NotApplicableError):
+        check_certificate(*args)
+
+
 @pytest.mark.parametrize("position", range(4), ids=["a", "b", "u", "v"])
 def test_check_certificate_rejects_mixed_carriers(position):
     """A valid rational pair with one container over the nonnegative rationals
