@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatchError,
     InternalInvariantError,
     InvalidDescriptorError,
-    InvertZeroError,
     MembershipDetectedError,
     NotApplicableError,
     NotZeroSumFreeError,
@@ -57,23 +56,7 @@ from .matrices import (
     zeros_col,
     zeros_row,
 )
-from .semirings import (
-    INF,
-    Element,
-    SemiringDescriptor,
-    SemiringTag,
-    add,
-    descriptor,
-    element,
-    element_not_below_one,
-    format_element,
-    inv,
-    mul,
-    nat_geq,
-    one,
-    parse_element,
-    zero,
-)
+from .semirings import INF, SemiringDescriptor, SemiringTag, carrier, descriptor
 from .solver import (
     CertifiedSolveResult,
     ExtensionKind,

@@ -47,7 +47,7 @@ from .matrices import (
     normalize,
     zeros_col,
 )
-from .semirings import _CARRIERS, Payload, SemiringTag, descriptor, format_element
+from .semirings import _CARRIERS, Payload, SemiringTag, descriptor
 from .solver import (
     SolveKind,
     extend_functional,
@@ -252,8 +252,8 @@ def _cmd_normalize(path: str, fmt: str) -> tuple[int, str]:
         ("original-column-stochastic", "original column-stochastic: ", col_stoch),
         ("original-row-stochastic", "original row-stochastic: ", row_stoch),
         ("kept-columns", "kept columns = ", " ".join(map(str, system.kept_columns))),
-        ("row-scale", "row scale = ", " ".join(map(format_element, system.row_scale))),
-        ("col-scale", "col scale = ", " ".join(map(format_element, system.col_scale))),
+        ("row-scale", "row scale = ", _tokens(tag, system.row_scale)),
+        ("col-scale", "col scale = ", _tokens(tag, system.col_scale)),
         ("matrix", None, f"{a_norm.rows} {a_norm.cols}"),
         *(("row", None, _tokens(tag, row)) for row in a_norm.values),
         ("vector", None, _tokens(tag, b_norm.values)),

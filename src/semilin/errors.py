@@ -13,10 +13,6 @@ class DimensionMismatchError(ToolkitError):
     """Shapes of matrix/vector operands do not conform."""
 
 
-class InvertZeroError(ToolkitError):
-    """The additive identity has no multiplicative inverse."""
-
-
 class TooFewElementsError(ToolkitError):
     """The operation needs a carrier with at least three elements."""
 

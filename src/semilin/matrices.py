@@ -2,8 +2,7 @@
 
 Everything is immutable and row-major.  A container holds a tuple of raw
 payloads, ``values``, checked once by the carrier's ``check``; ``matrix``,
-``row_vec`` and ``col_vec`` coerce ints, Fractions, strings and Elements.
-``entries`` is an Element view built on every access, so bind it once.  A
+``row_vec`` and ``col_vec`` coerce ints, Fractions, INF and tokens.  A
 matrix has at least one row but may have zero columns (dropping all-zero
 columns can empty it); the right image of a zero-column matrix is {0}.
 
@@ -13,16 +12,16 @@ identity and whose right-hand side is a 0/1 vector, and the scalings are
 invertible diagonals, so answers map back exactly.  It is computed on raw
 payloads through the carrier record (``_normalize_raw``, ``_unscaled``),
 which ``normalize``, ``inflate_solution`` and ``unscale_certificate`` wrap
-with their checks; only the two scalings are Elements.  The solver feeds
-them an integer-scaled copy of an idempotent system (``_integer_scaled``):
-min-plus is homogeneous under x -> l·x for a positive integer l, so scaling
-by the lcm of the denominators leaves only ints and INF, and ``_unscaled``
-divides the answer back by l.
+with their checks.  The solver feeds them an integer-scaled copy of an
+idempotent system (``_integer_scaled``): min-plus is homogeneous under
+x -> l·x for a positive integer l, so scaling by the lcm of the denominators
+leaves only ints and INF, and ``_unscaled`` divides the answer back by l.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import filterfalse
 from math import lcm
@@ -34,22 +33,12 @@ from .errors import (
     NotZeroSumFreeError,
     TagMismatchError,
 )
-from .semirings import (
-    _CARRIERS,
-    INF,
-    Carrier,
-    Element,
-    Payload,
-    SemiringTag,
-    descriptor,
-    element,
-    one,
-)
+from .semirings import _CARRIERS, INF, Carrier, Payload, SemiringTag, descriptor
 
 
 @dataclass(frozen=True)
 class _Vec:
-    """A vector of raw payloads; ``entries`` is the Element view, built per access."""
+    """A vector of raw payloads."""
 
     tag: SemiringTag
     values: tuple[Payload, ...]
@@ -60,10 +49,6 @@ class _Vec:
     @property
     def length(self) -> int:
         return len(self.values)
-
-    @property
-    def entries(self) -> tuple[Element, ...]:
-        return tuple(Element(self.tag, x) for x in self.values)
 
 
 class RowVec(_Vec):
@@ -76,7 +61,7 @@ class ColVec(_Vec):
 
 @dataclass(frozen=True)
 class Matrix:
-    """A d x n matrix of raw payloads, d >= 1, n >= 0; ``entries`` is the Element view."""
+    """A d x n matrix of raw payloads, d >= 1, n >= 0."""
 
     tag: SemiringTag
     rows: int
@@ -94,10 +79,6 @@ class Matrix:
             if len(row) != self.cols:
                 raise DimensionMismatchError("ragged rows")
 
-    @property
-    def entries(self) -> tuple[tuple[Element, ...], ...]:
-        return tuple(tuple(Element(self.tag, x) for x in row) for row in self.values)
-
 
 def _check_tuple(values: object) -> None:
     if type(values) is not tuple:  # a list would stay shared with, and mutable by, the caller
@@ -113,10 +94,31 @@ def _check_payloads(tag: SemiringTag, values: tuple) -> None:
         raise TypeError(f"not a {tag.value} payload: {x!r}")
 
 
+def _coerced(tag: SemiringTag, values: Iterable) -> tuple[Payload, ...]:
+    """The builders' input as payloads: ints, Fractions, INF and tokens, a token read
+    as the instance format reads it.  Any other type (bool, float, Decimal, complex)
+    raises TypeError; a value outside the carrier raises ValueError."""
+    c = _CARRIERS[tag]
+    out = []
+    for x in values:
+        if isinstance(x, str):
+            x = c.parse(x.strip())
+        elif type(x) is bool or not (isinstance(x, (int, Fraction)) or x is INF):
+            raise TypeError(f"not an int, Fraction, INF or token: {x!r}")
+        elif x is not INF:
+            x = Fraction(x)
+            # 0 and 1 take the carrier's own payloads: ints on the two-element carrier
+            x = c.zero if x == c.zero else c.one if x == c.one else x
+        if not c.check(x):
+            raise ValueError(f"not a {tag.value} value: {x!r}")
+        out.append(x)
+    return tuple(out)
+
+
 def matrix(tag: SemiringTag | str, rows: Sequence[Sequence]) -> Matrix:
-    """Build a matrix, coercing ints, Fractions, strings and Elements entrywise."""
+    """Build a matrix, coercing its entries as ``_coerced`` does."""
     tag = SemiringTag(tag)
-    data = tuple(tuple(element(tag, v).value for v in row) for row in rows)
+    data = tuple(_coerced(tag, row) for row in rows)
     if not data:
         raise DimensionMismatchError("a matrix needs at least one row")
     return Matrix(tag, len(data), len(data[0]), data)
@@ -124,12 +126,12 @@ def matrix(tag: SemiringTag | str, rows: Sequence[Sequence]) -> Matrix:
 
 def row_vec(tag: SemiringTag | str, values: Sequence) -> RowVec:
     tag = SemiringTag(tag)
-    return RowVec(tag, tuple(element(tag, v).value for v in values))
+    return RowVec(tag, _coerced(tag, values))
 
 
 def col_vec(tag: SemiringTag | str, values: Sequence) -> ColVec:
     tag = SemiringTag(tag)
-    return ColVec(tag, tuple(element(tag, v).value for v in values))
+    return ColVec(tag, _coerced(tag, values))
 
 
 def identity_matrix(tag: SemiringTag | str, size: int) -> Matrix:
@@ -203,11 +205,11 @@ def _image_sides(c: Carrier, xs, ys, equations) -> Iterator[tuple[Payload, Paylo
 MatMulOperand = Union[Matrix, RowVec, ColVec]
 
 
-def mat_mul(x: MatMulOperand, y: MatMulOperand) -> Union[Matrix, RowVec, ColVec, Element]:
+def mat_mul(x: MatMulOperand, y: MatMulOperand) -> Union[Matrix, RowVec, ColVec, Payload]:
     """Semiring product of conformable operands.
 
-    row * matrix -> row, matrix * col -> col, row * col -> scalar (an
-    Element), matrix * matrix -> matrix.
+    row * matrix -> row, matrix * col -> col, row * col -> scalar (a
+    payload), matrix * matrix -> matrix.
     """
     if x.tag is not y.tag:
         raise TagMismatchError(f"mixed carriers: {x.tag.value} and {y.tag.value}")
@@ -224,7 +226,7 @@ def mat_mul(x: MatMulOperand, y: MatMulOperand) -> Union[Matrix, RowVec, ColVec,
     if isinstance(x, RowVec) and isinstance(y, ColVec):
         if x.length != y.length:
             raise DimensionMismatchError(f"inner dims {x.length} != {y.length}")
-        return Element(tag, _dot(c, x.values, y.values))
+        return _dot(c, x.values, y.values)
     if isinstance(x, Matrix) and isinstance(y, Matrix):
         if x.cols != y.rows:
             raise DimensionMismatchError(f"inner dims {x.cols} != {y.rows}")
@@ -234,28 +236,28 @@ def mat_mul(x: MatMulOperand, y: MatMulOperand) -> Union[Matrix, RowVec, ColVec,
     raise TypeError(f"cannot multiply {type(x).__name__} by {type(y).__name__}")
 
 
-def _sums(tag: SemiringTag, vectors: Iterable[Iterable[Payload]]) -> tuple[Element, ...]:
+def _sums(tag: SemiringTag, vectors: Iterable[Iterable[Payload]]) -> tuple[Payload, ...]:
     c = _CARRIERS[tag]
-    return tuple(Element(tag, reduce(c.add, v, c.zero)) for v in vectors)
+    return tuple(reduce(c.add, v, c.zero) for v in vectors)
 
 
-def col_sums(a: Matrix) -> tuple[Element, ...]:
+def col_sums(a: Matrix) -> tuple[Payload, ...]:
     return _sums(a.tag, zip(*a.values))
 
 
-def row_sums(a: Matrix) -> tuple[Element, ...]:
+def row_sums(a: Matrix) -> tuple[Payload, ...]:
     return _sums(a.tag, a.values)
 
 
 def is_column_stochastic(a: Matrix) -> bool:
     """True iff every column sums to one (for min-plus: every column min is 0)."""
-    o = one(a.tag)
+    o = _CARRIERS[a.tag].one
     return all(s == o for s in col_sums(a))
 
 
 def is_row_stochastic(a: Matrix) -> bool:
     """True iff every row sums to one."""
-    o = one(a.tag)
+    o = _CARRIERS[a.tag].one
     return all(s == o for s in row_sums(a))
 
 
@@ -271,8 +273,8 @@ class NormalizedSystem:
 
     a_norm: Matrix
     b_norm: ColVec
-    row_scale: tuple[Element, ...]
-    col_scale: tuple[Element, ...]
+    row_scale: tuple[Payload, ...]
+    col_scale: tuple[Payload, ...]
     kept_columns: tuple[int, ...]
     original_cols: int
 
@@ -339,9 +341,10 @@ def normalize(a: Matrix, b: ColVec) -> NormalizedSystem:
         raise NotZeroSumFreeError(f"the {tag.value} carrier is not zero-sum free")
     c = _CARRIERS[tag]
     a_norm, b_norm, beta, alpha, kept = _normalize_raw(c, c.one, a.values, b.values)
-    beta, alpha = (tuple(Element(tag, x) for x in s) for s in (beta, alpha))
     a_norm = Matrix(tag, a.rows, len(kept), a_norm)
-    return NormalizedSystem(a_norm, ColVec(tag, b_norm), beta, alpha, tuple(kept), a.cols)
+    return NormalizedSystem(
+        a_norm, ColVec(tag, b_norm), tuple(beta), tuple(alpha), tuple(kept), a.cols
+    )
 
 
 def inflate_solution(system: NormalizedSystem, w_norm: ColVec) -> ColVec:
@@ -351,7 +354,7 @@ def inflate_solution(system: NormalizedSystem, w_norm: ColVec) -> ColVec:
         raise TagMismatchError("solution and system carriers differ")
     if w_norm.length != len(system.kept_columns):
         raise DimensionMismatchError("solution length does not match kept columns")
-    c, scales = _CARRIERS[tag], [e.value for e in system.col_scale]
+    c, scales = _CARRIERS[tag], system.col_scale
     w = _unscaled(c, 1, scales, system.kept_columns, system.original_cols, w_norm.values)
     return ColVec(tag, tuple(w))
 
@@ -366,6 +369,6 @@ def unscale_certificate(
         raise TagMismatchError("certificate and system carriers differ")
     if u_norm.length != d or v_norm.length != d:
         raise DimensionMismatchError("certificate length does not match row count")
-    c, scales = _CARRIERS[tag], [e.value for e in system.row_scale]
+    c, scales = _CARRIERS[tag], system.row_scale
     u, v = (tuple(_unscaled(c, 1, scales, range(d), d, w.values)) for w in (u_norm, v_norm))
     return RowVec(tag, u), RowVec(tag, v)

@@ -12,17 +12,7 @@ from functools import reduce
 from random import Random
 
 from .matrices import ColVec, Matrix, RowVec, mat_mul
-from .semirings import _CARRIERS, Element, SemiringTag
-
-
-def random_element(tag: SemiringTag | str, rng: Random) -> Element:
-    tag = SemiringTag(tag)
-    return Element(tag, _CARRIERS[tag].random(rng))
-
-
-def random_nonzero_element(tag: SemiringTag | str, rng: Random) -> Element:
-    tag = SemiringTag(tag)
-    return Element(tag, _CARRIERS[tag].random_nonzero(rng))
+from .semirings import _CARRIERS, SemiringTag
 
 
 def random_matrix(tag: SemiringTag | str, d: int, n: int, rng: Random) -> Matrix:
@@ -53,7 +43,7 @@ def random_column_stochastic(
     rng: Random,
     entry,
 ) -> Matrix:
-    """A column-stochastic matrix with entries drawn by ``entry(rng)``, an Element.
+    """A column-stochastic matrix with entries drawn by ``entry(rng)``, a payload.
 
     Columns are redrawn until their sum is nonzero (over the rationals a
     column of nonzero entries can sum to 0), then scaled by the inverse of
@@ -67,7 +57,7 @@ def random_column_stochastic(
     columns = []
     for _ in range(n):
         while True:
-            col = [entry(rng).value for _ in range(d)]
+            col = [entry(rng) for _ in range(d)]
             s = reduce(c.add, col)
             if s != c.zero:
                 break

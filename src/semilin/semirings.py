@@ -1,17 +1,15 @@
 """The four built-in semifield carriers and their exact scalar arithmetic.
 
-A scalar is an :class:`Element`: a carrier tag plus an exact payload (a bit
-for the two-element carrier, a fraction or the distinguished infinity for the
-min-plus carrier, a fraction for the rational carriers).  Floats are rejected
-everywhere; every identity the algebra promises holds bit-exactly.
+A scalar is a raw payload: a bit (int 0 or 1) for the two-element carrier, a
+Fraction or the distinguished infinity ``INF`` for the min-plus carrier, a
+Fraction for the rational carriers.  Floats are rejected everywhere; every
+identity the algebra promises holds bit-exactly.
 
 Everything that differs between carriers is one :class:`Carrier` record per
-tag in ``_CARRIERS``: raw-payload arithmetic, the payload check, the token
-grammar, the samplers and the axiom flags.  That table is the only place in
-the package that branches on the tag; every other function reads a field.
-
-Elements are immutable values; containers hold bare payloads and build
-Elements only for their ``entries`` view.  All operations are pure and reentrant.
+tag, returned by :func:`carrier`: raw-payload arithmetic, the payload check,
+the token grammar, the samplers and the axiom flags.  That table is the only
+place in the package that branches on the tag; every other function reads a
+field.  All operations are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -25,13 +23,6 @@ from fractions import Fraction
 from functools import partial
 from random import Random
 from typing import Callable, Literal, Union
-
-from .errors import (
-    InternalInvariantError,
-    InvertZeroError,
-    TagMismatchError,
-    TooFewElementsError,
-)
 
 
 class SemiringTag(str, Enum):
@@ -65,122 +56,6 @@ INF = _Infinity()
 
 Payload = Union[int, Fraction, _Infinity]
 
-
-@dataclass(frozen=True, slots=True)
-class Element:
-    """A scalar in one of the four carriers.
-
-    Cross-tag arithmetic is rejected; construct values through
-    :func:`element`, :func:`zero`, :func:`one` or :func:`parse_element`.
-    """
-
-    tag: SemiringTag
-    value: Payload
-
-    def __post_init__(self) -> None:
-        if type(self.tag) is not SemiringTag:  # a plain str would pass the table lookup
-            raise TypeError(f"Element tag must be a SemiringTag, got {self.tag!r}")
-        if not _CARRIERS[self.tag].check(self.value):
-            raise ValueError(f"not a {self.tag.value} payload: {self.value!r}")
-
-    def __repr__(self) -> str:
-        return f"Element({self.tag.value}, {format_element(self)})"
-
-
-def element(tag: SemiringTag | str, value) -> Element:
-    """Coerce an exact raw value into an Element of the given carrier.
-
-    Accepts ints, Fractions, INF (tropical only), Elements of the same tag and
-    tokens, read as ``parse_element`` reads them.  Floats and bools are rejected.
-    """
-    tag = SemiringTag(tag)
-    if isinstance(value, Element):
-        if value.tag is not tag:
-            raise TagMismatchError(f"cannot reuse a {value.tag.value} element as {tag.value}")
-        return value
-    if isinstance(value, bool):
-        raise TypeError("pass 0/1 ints, not bools")
-    if isinstance(value, float):
-        raise TypeError(f"floats are not exact; got {value!r}")
-    carrier = _CARRIERS[tag]
-    if isinstance(value, str):
-        return Element(tag, carrier.parse(value.strip()))
-    if value is not INF:
-        value = Fraction(value)
-        # 0 and 1 take the carrier's own payloads: ints on the two-element carrier
-        if value in (carrier.zero, carrier.one):
-            value = carrier.zero if value == carrier.zero else carrier.one
-    return Element(tag, value)
-
-
-def zero(tag: SemiringTag | str) -> Element:
-    """Additive identity of the carrier (inf for tropical)."""
-    tag = SemiringTag(tag)
-    return Element(tag, _CARRIERS[tag].zero)
-
-
-def one(tag: SemiringTag | str) -> Element:
-    """Multiplicative identity of the carrier (the numeral 0 for tropical)."""
-    tag = SemiringTag(tag)
-    return Element(tag, _CARRIERS[tag].one)
-
-
-def _same_tag(a: Element, b: Element) -> SemiringTag:
-    if a.tag is not b.tag:
-        raise TagMismatchError(f"mixed carriers: {a.tag.value} and {b.tag.value}")
-    return a.tag
-
-
-def add(a: Element, b: Element) -> Element:
-    """Carrier addition: or for boolean, min for tropical, + for rationals."""
-    tag = _same_tag(a, b)
-    return Element(tag, _CARRIERS[tag].add(a.value, b.value))
-
-
-def mul(a: Element, b: Element) -> Element:
-    """Carrier multiplication: and for boolean, + (inf absorbing) for tropical."""
-    tag = _same_tag(a, b)
-    return Element(tag, _CARRIERS[tag].mul(a.value, b.value))
-
-
-def inv(a: Element) -> Element:
-    """Multiplicative inverse; raises InvertZeroError on the additive identity."""
-    carrier = _CARRIERS[a.tag]
-    if a.value == carrier.zero:
-        raise InvertZeroError(f"the {a.tag.value} additive identity has no inverse")
-    return Element(a.tag, carrier.inv(a.value))
-
-
-def nat_geq(p: Element, q: Element) -> bool:
-    """Natural-order comparison: p >= q iff p + q = p.
-
-    A genuine partial order on the idempotent carriers; on the rational
-    carriers it is just the raw predicate (true only when q = 0).
-    """
-    _same_tag(p, q)
-    return add(p, q) == p
-
-
-def element_not_below_one(tag: SemiringTag | str) -> Element:
-    """Return some lam with 1 + lam != 1.
-
-    Exists whenever the carrier has at least three elements: pick a canonical
-    a outside {0, 1}, the least positive integer payload that is neither (1
-    for tropical, 2 for the rational carriers); if 1 + a != 1 take a,
-    otherwise its inverse qualifies.  The two-element carrier has no such lam.
-    """
-    tag = SemiringTag(tag)
-    carrier = _CARRIERS[tag]
-    if carrier.descriptor.carrier_size == "two":
-        raise TooFewElementsError(f"the {tag.value} carrier has only two elements")
-    a = next(k for k in (1, 2) if k not in (carrier.zero, carrier.one))
-    candidate = Element(tag, Fraction(a))
-    lam = candidate if not nat_geq(one(tag), candidate) else inv(candidate)
-    if add(one(tag), lam) == one(tag):
-        raise InternalInvariantError("canonical element unexpectedly below one")
-    return lam
-
-
 CarrierSize = Literal["two", "infinite"]
 
 
@@ -204,15 +79,9 @@ def descriptor(tag: SemiringTag | str) -> SemiringDescriptor:
     return _CARRIERS[SemiringTag(tag)].descriptor
 
 
-def format_element(e: Element) -> str:
-    """Canonical token for an element."""
-    return _CARRIERS[e.tag].format(e.value)
-
-
-def parse_element(tag: SemiringTag | str, token: str) -> Element:
-    """Parse one token of the grammar below; raises ValueError on bad tokens."""
-    tag = SemiringTag(tag)
-    return Element(tag, _CARRIERS[tag].parse(token.strip()))
+def carrier(tag: SemiringTag | str) -> Carrier:
+    """The record of one of the four built-in carriers: its payloads and operations."""
+    return _CARRIERS[SemiringTag(tag)]
 
 
 # --- the carrier table ----------------------------------------------------------
@@ -223,7 +92,7 @@ class Carrier:
     """One carrier's payloads and operations; all fields act on raw payloads.
 
     ``inv`` is never called on ``zero``; ``check`` is the payload invariant of
-    Elements and containers; ``unscale(x, l)`` is the payload x/l of an
+    the containers; ``unscale(x, l)`` is the payload x/l of an
     integer-scaled payload x (INF stays INF); ``parse`` takes a stripped token
     and raises ValueError on a bad one; ``random`` and ``random_nonzero`` are
     the samplers' draws, in a fixed RNG order so that seeded runs reproduce.

@@ -10,7 +10,7 @@ failed check raises ``InternalInvariantError`` instead of returning.  That is th
 only check on an emitted answer: the CLI and the verification suites repeat none.
 Over the boolean, tropical and rational carriers exactly one of the two is
 returned for every system.  Every stage reads the containers' raw payloads
-(``values``) and no Element is built on the way.  The idempotent carriers:
+(``values``).  The idempotent carriers:
 [A | b] is scaled by the lcm l of its denominators (min-plus is homogeneous
 under x -> l·x), normalized, residuated and, on failure, refuted by the
 closed-form kernel pair, all on ints and INF, and the answer is divided back
@@ -106,8 +106,11 @@ class ExtensionResult:
 
 
 def _residuate(c: Carrier, rows: list[list], rhs: list) -> Optional[list[Payload]]:
-    """``principal_solution`` on raw payloads.  Over a chain the meet of the
-    A_ij^-1·b_i is (sum of A_ij·b_i^-1)^-1, or 0 if one of the b_i is 0."""
+    """``principal_solution`` on raw payloads.  In an idempotent semifield x + y
+    is the join of the natural order and inversion reverses that order on the
+    nonzero elements, so (x + y)^-1 is the meet of x^-1 and y^-1; hence the
+    meet of the A_ij^-1·b_i is (sum of A_ij·b_i^-1)^-1, or 0 (the least
+    element) if one of the b_i is 0.  No total order is needed."""
     z = c.zero
     b_inv = [None if x == z else c.inv(x) for x in rhs]
     xhat = []
@@ -123,15 +126,18 @@ def _residuate(c: Carrier, rows: list[list], rhs: list) -> Optional[list[Payload
 def principal_solution(a: Matrix, b: ColVec) -> Optional[ColVec]:
     """Greatest candidate solution under the natural order, or None.
 
-    Over the idempotent totally ordered carriers the componentwise residual
-    x_j = meet over rows i with A_i^j != 0 of (A_i^j)^-1 · b_i dominates every
-    solution; the system is solvable iff this candidate itself solves it.
-    A has to be free of all-zero columns (normalize first, or pre-strip).
+    Over an idempotent semifield the natural order (p >= q iff p + q = p) is
+    a lattice, and A_ij·w_j <= b_i iff w_j <= A_ij^-1·b_i for A_ij != 0.  So
+    the componentwise residual x_j = meet over rows i with A_ij != 0 of
+    A_ij^-1·b_i is the greatest w with A·w <= b.  It dominates every
+    solution, and since A·w is monotone in w, the system is solvable iff this
+    candidate itself solves it.  A has to be free of all-zero columns
+    (normalize first, or pre-strip).
     """
     _check_system(a, b)
     tag = a.tag
     if not descriptor(tag).is_idempotent:
-        raise UnsupportedCarrierError("residuation needs an idempotent totally ordered carrier")
+        raise UnsupportedCarrierError("residuation needs an idempotent carrier")
     xhat = _residuate(_CARRIERS[tag], a.values, b.values)
     return None if xhat is None else ColVec(tag, tuple(xhat))
 

@@ -19,6 +19,7 @@ caller's original system itself.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 
 from .errors import (
@@ -40,14 +41,7 @@ from .matrices import (
     ones_row,
     vec_add,
 )
-from .semirings import (
-    _CARRIERS,
-    Carrier,
-    Payload,
-    SemiringTag,
-    descriptor,
-    element_not_below_one,
-)
+from .semirings import _CARRIERS, Carrier, Payload, SemiringTag, descriptor
 
 
 def check_certificate(a: Matrix, b: ColVec, u: RowVec, v: RowVec) -> bool:
@@ -69,7 +63,8 @@ def alternative_ones_preimage(a: Matrix) -> RowVec:
     three elements) there is another row L with L·A = (1,...,1) that is not
     below the all-ones row in the natural order: take the inverses of the row
     sums, or, when some row is entirely zero, keep ones everywhere except a
-    single coordinate set to an element lam with 1 + lam != 1.
+    single coordinate set to an element lam with 1 + lam != 1: a payload p
+    outside {0, 1}, or p^-1 when 1 + p = 1 (both are below 1 only if p = 1).
     """
     tag = a.tag
     desc = descriptor(tag)
@@ -86,7 +81,8 @@ def alternative_ones_preimage(a: Matrix) -> RowVec:
     alphas = [reduce(c.add, row, c.zero) for row in a.values]
     if c.zero in alphas:
         i = alphas.index(c.zero)
-        lam = element_not_below_one(tag).value
+        p = Fraction(1)  # outside {0, 1} on min-plus, the one carrier that gets here
+        lam = c.inv(p) if c.add(c.one, p) == c.one else p
         result = RowVec(tag, tuple(lam if t == i else c.one for t in range(a.rows)))
     else:
         result = RowVec(tag, tuple(map(c.inv, alphas)))
@@ -102,19 +98,25 @@ def alternative_ones_preimage(a: Matrix) -> RowVec:
 def _closed_form_pair(c: Carrier, one: Payload, rows: list[list], rhs: list) -> tuple[list, list]:
     """Kernel pair of a normalized idempotent system on raw payloads, unchecked.
 
-    With Z the rows where b is 0, O the rows where it is 1 and
-    m_j = sum of A_kj over k in Z, residuation gives 1 on the columns with
-    m_j = 0 and 0 on the others, so it fails exactly at a row i in O with
-    s_i = sum of A_ij over j with m_j = 0 different from 1.  Take the first
-    such i, lam = 1 if s_i = 0 and s_i^-1 otherwise, and
-    H = 1 + sum of lam·A_ij·m_j^-1 over j with m_j, A_ij != 0.  Then v is H on
-    Z and, on O, 0 if s_i = 0 and 1 otherwise; u is v with u_i = lam.
-    H·m_j dominates lam·A_ij on the columns meeting Z; off them column
-    stochasticity puts a 1 in some other row of O and lam·A_ij <= lam·s_i = 1.
-    So u·A = v·A, while u·b = 1 != 0 = v·b or u·b = lam != 1 = v·b.  The
-    arithmetic is the carrier's own; over the two-element carrier s_i = 0
-    and H = 1, which leaves u = e_i + 1_Z, v = 1_Z.  ``one`` is the carrier's
-    one in the units of the payloads, which may be integer-scaled.
+    The argument uses only the natural order p >= q iff p + q = p, a lattice
+    with + as its join on any idempotent semifield, in which multiplication is
+    monotone and inversion reverses the order; no chain is needed.  With Z
+    the rows where b is 0, O the rows where it is 1 and m_j = sum of A_kj
+    over k in Z, residuation gives 1 on the columns with m_j = 0 and 0 on the
+    others, so it fails exactly at a row i in O with s_i = sum of A_ij over j
+    with m_j = 0 different from 1.  Each such A_ij is below its column sum 1,
+    so s_i < 1.  Take the first such i, lam = 1 if s_i = 0 and s_i^-1 > 1
+    otherwise, and H = 1 + sum of lam·A_ij·m_j^-1 over j with m_j, A_ij != 0.
+    Then v is H on Z and, on O, 0 if s_i = 0 and 1 otherwise; u is v with
+    u_i = lam >= v_i, so u·A = v·A + lam·A_i and it suffices that
+    lam·A_ij <= (v·A)_j on every column j with A_ij != 0.  If m_j != 0,
+    (v·A)_j >= H·m_j >= lam·A_ij.  If m_j = 0, then s_i >= A_ij is nonzero,
+    v is 1 on all of O and (v·A)_j >= sum of A_kj over k in O = 1 =
+    lam·s_i >= lam·A_ij.  So u·A = v·A, while u·b = 1 != 0 = v·b or
+    u·b = lam != 1 = v·b.  The arithmetic is the carrier's own; over the
+    two-element carrier s_i = 0 and H = 1, which leaves u = e_i + 1_Z,
+    v = 1_Z.  ``one`` is the carrier's one in the units of the payloads,
+    which may be integer-scaled.
 
     Raises MembershipDetectedError when no row fails: residuation then solves
     A·w = b.

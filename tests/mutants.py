@@ -166,6 +166,25 @@ MUTANTS = [
         "digits = str(x.numerator)",
         [CLI + "test_answers_beyond_the_int_to_str_digit_limit_render[solve-text]"],
     ),
+    # --- builder coercion and the preimage's lam -----------------------------------
+    (  # bools pass as 0/1
+        "semilin/matrices.py",
+        "elif type(x) is bool or not (isinstance(x, (int, Fraction)) or x is INF):",
+        "elif not (isinstance(x, (int, Fraction)) or x is INF):",
+        ["tests/test_semirings.py::test_exactness_discipline"],
+    ),
+    (  # Fraction(1) kept on the two-element carrier instead of the int 1
+        "semilin/matrices.py",
+        "x = c.zero if x == c.zero else c.one if x == c.one else x",
+        "pass",
+        ["tests/test_semirings.py::test_builders_coerce_non_strings_as_before"],
+    ),
+    (  # lam = p even when 1 + p = 1
+        "semilin/witness.py",
+        "lam = c.inv(p) if c.add(c.one, p) == c.one else p",
+        "lam = p",
+        [WITNESS + "test_preimage_zero_row_branch"],
+    ),
     # --- the shape and carrier guards in front of the answer check -----------------
     (
         "semilin/matrices.py",

@@ -1,19 +1,21 @@
 """Brute-force membership oracles, independent of the solver under test.
 
-These work on raw payloads (bits, fractions, float infinity) rather than on
-Element arithmetic, so a bug in the carrier operations cannot hide a matching
-bug in the decision procedures.  ``gauss_jordan_reference`` is textbook
-elimination over Fractions, the reference for the solver's integer
-elimination; ``boolean_kernel_pair_reference`` is the 4^d pair search and
+These work on raw payloads (bits, fractions, float infinity) with their own
+scalar table, ``_RAW_SEMIRINGS``, and import no arithmetic from the package:
+a bug in the carrier operations cannot hide a matching bug in the decision
+procedures.  ``gauss_jordan_reference`` is textbook elimination over
+Fractions, the reference for the solver's integer elimination;
+``boolean_kernel_pair_reference`` is the 4^d pair search and
 ``kernel_witness_reference`` the min-plus block construction, the references
 for the closed-form kernel pair.  ``solution_holds_reference`` and
 ``certificate_holds_reference`` validate an answer by the raw triple loop of
 ``mat_mul_reference``, the reference for the solver's integer-image answer
 check.  ``boolean_sweep_reference`` is the exhaustive boolean sweep decided
 one (A, b) at a time, the reference for the per-matrix bitmask sweep.
-``idempotent_membership_reference`` is the
-one exception: the solver's former Element-level pipeline for the idempotent
-carriers, kept verbatim as the reference for its integer-scaled raw core.
+``idempotent_membership_reference`` is the solver's former unscaled pipeline
+for the idempotent carriers (normalize, residuate by a natural-order meet,
+the closed-form pair, map back), the reference for its integer-scaled raw
+core.
 """
 
 from __future__ import annotations
@@ -28,58 +30,62 @@ from typing import Optional
 from semilin import (
     INF,
     ColVec,
-    Element,
     InternalInvariantError,
     Matrix,
     MembershipDetectedError,
     RowVec,
-    add,
-    col_vec,
-    inv,
-    is_column_stochastic,
-    mat_mul,
-    mul,
-    nat_geq,
-    one,
-    row_vec,
-    unit_row,
-    zero,
-    zeros_col,
-    zeros_row,
 )
 from semilin.classify import ExhaustiveReport, ShapeReport
-from semilin.semirings import _CARRIERS
 
 
-def _raw_tropical(e) -> Fraction | float:
-    return math.inf if e.value is INF else e.value
+def _raw(x) -> Fraction | float:
+    """A payload with the tropical INF read as math.inf."""
+    return math.inf if x is INF else x
 
 
-# (zero, add, mul) of each carrier on raw payloads, tropical infinity as math.inf
+def _payload(x):
+    """The inverse of ``_raw``."""
+    return INF if x == math.inf else x
+
+
+def _plus(x, y):
+    return x + y
+
+
+def _times(x, y):
+    return x * y
+
+
+def _reciprocal(x):
+    return 1 / x
+
+
+# (zero, one, add, mul, inv) of each carrier on raw payloads, tropical infinity as
+# math.inf; inv is never applied to zero
 _RAW_SEMIRINGS = {
-    "boolean": (0, lambda x, y: x | y, lambda x, y: x & y),
-    "tropical": (math.inf, min, lambda x, y: x + y),
-    "nonneg-rational": (Fraction(0), lambda x, y: x + y, lambda x, y: x * y),
-    "rational": (Fraction(0), lambda x, y: x + y, lambda x, y: x * y),
+    "boolean": (0, 1, lambda x, y: x | y, lambda x, y: x & y, lambda x: x),
+    "tropical": (math.inf, Fraction(0), min, _plus, lambda x: -x),
+    "nonneg-rational": (Fraction(0), Fraction(1), _plus, _times, _reciprocal),
+    "rational": (Fraction(0), Fraction(1), _plus, _times, _reciprocal),
 }
 
 
 def raw_rows(x) -> list[list]:
     """A Matrix, RowVec (1 x n), ColVec (n x 1) or scalar (1 x 1) as rows of raw payloads."""
     if isinstance(x, Matrix):
-        rows = [list(row) for row in x.entries]
+        rows = [list(row) for row in x.values]
     elif isinstance(x, RowVec):
-        rows = [list(x.entries)]
+        rows = [list(x.values)]
     elif isinstance(x, ColVec):
-        rows = [[e] for e in x.entries]
+        rows = [[e] for e in x.values]
     else:
         rows = [[x]]
-    return [[_raw_tropical(e) for e in row] for row in rows]
+    return [[_raw(e) for e in row] for row in rows]
 
 
 def mat_mul_reference(x, y) -> list[list]:
     """Textbook triple loop over raw payloads; the product as rows of raw payloads."""
-    zero, add, mul = _RAW_SEMIRINGS[x.tag.value]
+    zero, _, add, mul, _ = _RAW_SEMIRINGS[x.tag.value]
     xs, ys = raw_rows(x), raw_rows(y)
     inner = len(xs[0]) if xs else 0
     cols = len(ys[0]) if ys else (1 if isinstance(y, ColVec) else 0)
@@ -114,7 +120,7 @@ def certificate_holds_reference(a: Matrix, b: ColVec, u: RowVec, v: RowVec) -> b
 
 def sums_reference(a: Matrix) -> tuple[list, list]:
     """(column sums, row sums) of a matrix, by plain folds over raw payloads."""
-    zero, add, _ = _RAW_SEMIRINGS[a.tag.value]
+    zero, _, add, _, _ = _RAW_SEMIRINGS[a.tag.value]
     rows = raw_rows(a)
     return [reduce(add, col, zero) for col in zip(*rows)], [reduce(add, r, zero) for r in rows]
 
@@ -126,8 +132,8 @@ def tropical_member_grid(a: Matrix, b: ColVec, lo: int = -10, hi: int = 10) -> b
     and b in {0,1}: the residuated candidate then has every coordinate in
     {inf} union [-hi, 0], and a system is solvable iff that candidate solves it.
     """
-    rows = [[_raw_tropical(e) for e in row] for row in a.entries]
-    target = [_raw_tropical(e) for e in b.entries]
+    rows = raw_rows(a)
+    target = [row[0] for row in raw_rows(b)]
     grid: list = [math.inf] + [Fraction(k) for k in range(lo, hi + 1)]
     for w in product(grid, repeat=a.cols):
         ok = True
@@ -147,8 +153,8 @@ def tropical_member_grid(a: Matrix, b: ColVec, lo: int = -10, hi: int = 10) -> b
 
 def boolean_member(a: Matrix, b: ColVec) -> bool:
     """Does some w in {0,1}^n solve A.w = b, by plain bit enumeration?"""
-    rows = [[e.value for e in row] for row in a.entries]
-    target = [e.value for e in b.entries]
+    rows = raw_rows(a)
+    target = [row[0] for row in raw_rows(b)]
     for bits in product((0, 1), repeat=a.cols):
         ok = True
         for i in range(a.rows):
@@ -165,8 +171,8 @@ def boolean_member(a: Matrix, b: ColVec) -> bool:
 
 def _boolean_images(a: Matrix, b: ColVec) -> list[tuple[tuple, tuple[int, ...], int]]:
     """(u, u.A, u.b) over raw bits for every u in {0,1}^d, in lexicographic order."""
-    rows = [[e.value for e in row] for row in a.entries]
-    target = [e.value for e in b.entries]
+    rows = raw_rows(a)
+    target = [row[0] for row in raw_rows(b)]
     d, n = a.rows, a.cols
     images = []
     for u in product((0, 1), repeat=d):
@@ -360,141 +366,106 @@ def gauss_jordan_reference(
     return solution, None, null_basis
 
 
-# --- the Element-level idempotent pipeline ---------------------------------------
+# --- the unscaled idempotent pipeline ---------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Normalized:
-    a_norm: Matrix
-    b_norm: ColVec
-    row_scale: tuple[Element, ...]
-    col_scale: tuple[Element, ...]
-    kept_columns: tuple[int, ...]
+    a_norm: list[list]
+    b_norm: list
+    row_scale: list
+    col_scale: list
+    kept_columns: list[int]
     original_cols: int
 
 
-def _normalize(a: Matrix, b: ColVec) -> _Normalized:
-    tag = a.tag
-    z = zero(tag)
-    rows, rhs = a.entries, b.entries
-    kept = tuple(j for j in range(a.cols) if any(rows[i][j] != z for i in range(a.rows)))
-    beta = tuple(rhs[i] if rhs[i] != z else one(tag) for i in range(a.rows))
-    beta_inv = tuple(inv(x) for x in beta)
-
-    scaled_rows = tuple(
-        tuple(mul(beta_inv[i], rows[i][j]) for j in kept) for i in range(a.rows)
-    )
-    alpha = tuple(
-        reduce(add, (scaled_rows[i][c] for i in range(a.rows)), z) for c in range(len(kept))
-    )
-    alpha_inv = tuple(inv(x) for x in alpha)
-
-    a_norm = Matrix(
-        tag,
-        a.rows,
-        len(kept),
-        tuple(
-            tuple(mul(scaled_rows[i][c], alpha_inv[c]).value for c in range(len(kept)))
-            for i in range(a.rows)
-        ),
-    )
-    b_norm = col_vec(tag, [mul(beta_inv[i], rhs[i]) for i in range(a.rows)])
-    assert is_column_stochastic(a_norm)
-    return _Normalized(a_norm, b_norm, beta, alpha, kept, a.cols)
+def _normalize(ops, rows: list[list], rhs: list) -> _Normalized:
+    z, o, add, mul, inv = ops
+    d, n = len(rows), len(rows[0])
+    kept = [j for j in range(n) if any(rows[i][j] != z for i in range(d))]
+    beta = [rhs[i] if rhs[i] != z else o for i in range(d)]
+    beta_inv = [inv(x) for x in beta]
+    scaled_rows = [[mul(beta_inv[i], rows[i][j]) for j in kept] for i in range(d)]
+    alpha = [reduce(add, (scaled_rows[i][c] for i in range(d)), z) for c in range(len(kept))]
+    alpha_inv = [inv(x) for x in alpha]
+    a_norm = [[mul(scaled_rows[i][c], alpha_inv[c]) for c in range(len(kept))] for i in range(d)]
+    b_norm = [mul(beta_inv[i], rhs[i]) for i in range(d)]
+    assert all(reduce(add, (row[c] for row in a_norm), z) == o for c in range(len(kept)))
+    return _Normalized(a_norm, b_norm, beta, alpha, kept, n)
 
 
-def _nat_meet(items: list[Element]) -> Element:
+def _nat_meet(add, items: list):
     m = items[0]
     for x in items[1:]:
-        if nat_geq(m, x):
+        if add(m, x) == m:  # m >= x in the natural order
             m = x
     return m
 
 
-def _principal_solution(a: Matrix, b: ColVec) -> Optional[ColVec]:
-    tag = a.tag
-    z = zero(tag)
-    rows, rhs = a.entries, b.entries
-    entries = []
-    for j in range(a.cols):
-        candidates = [
-            mul(inv(rows[i][j]), rhs[i])
-            for i in range(a.rows)
-            if rows[i][j] != z
-        ]
-        entries.append(_nat_meet(candidates))
-    xhat = col_vec(tag, entries)
-    return xhat if mat_mul(a, xhat) == b else None
+def _principal_solution(ops, rows: list[list], rhs: list) -> Optional[list]:
+    z, _, add, mul, inv = ops
+    xhat = [
+        _nat_meet(add, [mul(inv(row[j]), x) for row, x in zip(rows, rhs) if row[j] != z])
+        for j in range(len(rows[0]))
+    ]
+    image = [reduce(add, (mul(x, y) for x, y in zip(row, xhat)), z) for row in rows]
+    return xhat if image == rhs else None
 
 
-def _inflate_solution(system: _Normalized, w_norm: ColVec) -> ColVec:
-    tag = system.a_norm.tag
-    full = [zero(tag)] * system.original_cols
-    w = w_norm.entries
-    for c, j in enumerate(system.kept_columns):
-        full[j] = mul(inv(system.col_scale[c]), w[c])
-    return col_vec(tag, full)
-
-
-def _unscale_certificate(
-    system: _Normalized, u_norm: RowVec, v_norm: RowVec
-) -> tuple[RowVec, RowVec]:
-    tag = system.a_norm.tag
-    beta_inv = tuple(inv(x) for x in system.row_scale)
-    u = row_vec(tag, [mul(x, s) for x, s in zip(u_norm.entries, beta_inv)])
-    v = row_vec(tag, [mul(x, s) for x, s in zip(v_norm.entries, beta_inv)])
-    return u, v
-
-
-def _closed_form_pair(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
-    tag = a.tag
-    c = _CARRIERS[tag]
-    z, o = c.zero, c.one
-    rows = [[e.value for e in row] for row in a.entries]
-    rhs = [e.value for e in b.entries]
+def _closed_form_pair(ops, rows: list[list], rhs: list) -> tuple[list, list]:
+    z, o, add, mul, inv = ops
     z_rows = [row for row, x in zip(rows, rhs) if x == z]
-    m = [reduce(c.add, (row[j] for row in z_rows), z) for j in range(a.cols)]
+    m = [reduce(add, (row[j] for row in z_rows), z) for j in range(len(rows[0]))]
     for i, x in enumerate(rhs):
         if x != z:
-            s = reduce(c.add, (y for y, mj in zip(rows[i], m) if mj == z), z)
+            s = reduce(add, (y for y, mj in zip(rows[i], m) if mj == z), z)
             if s != o:
                 break
     else:
         raise MembershipDetectedError("residuation solves A·w = b")
-    lam = o if s == z else c.inv(s)
-    heavy = reduce(
-        c.add,
-        (c.mul(c.mul(lam, x), c.inv(mj)) for x, mj in zip(rows[i], m) if x != z and mj != z),
-        o,
-    )
+    lam = o if s == z else inv(s)
+    terms = (mul(mul(lam, x), inv(mj)) for x, mj in zip(rows[i], m) if x != z and mj != z)
+    heavy = reduce(add, terms, o)
     v_on_o = z if s == z else o
     v = [heavy if x == z else v_on_o for x in rhs]
-    u = v[:i] + [lam] + v[i + 1 :]
-    return tuple(RowVec(tag, tuple(w)) for w in (u, v))
+    return v[:i] + [lam] + v[i + 1 :], v
 
 
 def idempotent_membership_reference(
     a: Matrix, b: ColVec
 ) -> tuple[str, Optional[ColVec], Optional[RowVec], Optional[RowVec]]:
-    """(kind, w, u, v) of a boolean or min-plus system, over Elements and unscaled.
+    """(kind, w, u, v) of a boolean or min-plus system, on ``_RAW_SEMIRINGS`` and unscaled.
 
-    The zero shortcuts, then normalize -> principal_solution ->
-    inflate_solution, or the closed-form pair -> unscale_certificate, as the
-    solver ran them before its raw core; answers are not checked here.
+    The zero shortcuts, then normalize -> principal solution -> inflate, or
+    the closed-form pair -> unscale, as the solver ran them before its
+    integer-scaled raw core; answers are not checked here.
     """
     tag = a.tag
-    z = zero(tag)
-    if all(e == z for e in b.entries):
-        return "solution", zeros_col(tag, a.cols), None, None
-    if all(e == z for row in a.entries for e in row):
-        i = next(i for i, e in enumerate(b.entries) if e != z)
-        return "refutation", None, unit_row(tag, a.rows, i), zeros_row(tag, a.rows)
-    system = _normalize(a, b)
-    xhat = _principal_solution(system.a_norm, system.b_norm)
+    ops = _RAW_SEMIRINGS[tag.value]
+    z, o, _, mul, inv = ops
+    rows = raw_rows(a)
+    rhs = [row[0] for row in raw_rows(b)]
+
+    def vec(kind, xs):
+        return kind(tag, tuple(_payload(x) for x in xs))
+
+    if all(x == z for x in rhs):
+        return "solution", vec(ColVec, [z] * a.cols), None, None
+    if all(x == z for row in rows for x in row):
+        i = next(i for i, x in enumerate(rhs) if x != z)
+        unit = [o if t == i else z for t in range(a.rows)]
+        return "refutation", None, vec(RowVec, unit), vec(RowVec, [z] * a.rows)
+    system = _normalize(ops, rows, rhs)
+    xhat = _principal_solution(ops, system.a_norm, system.b_norm)
     if xhat is not None:
-        return "solution", _inflate_solution(system, xhat), None, None
+        full = [z] * system.original_cols
+        for c, j in enumerate(system.kept_columns):
+            full[j] = mul(inv(system.col_scale[c]), xhat[c])
+        return "solution", vec(ColVec, full), None, None
     try:
-        u_norm, v_norm = _closed_form_pair(system.a_norm, system.b_norm)
+        u_norm, v_norm = _closed_form_pair(ops, system.a_norm, system.b_norm)
     except MembershipDetectedError as exc:
         raise InternalInvariantError(f"residuation and the pair disagree: {exc}") from exc
-    return "refutation", None, *_unscale_certificate(system, u_norm, v_norm)
+    beta_inv = [inv(x) for x in system.row_scale]
+    u, v = ([mul(x, s) for x, s in zip(w, beta_inv)] for w in (u_norm, v_norm))
+    return "refutation", None, vec(RowVec, u), vec(RowVec, v)

@@ -21,7 +21,6 @@ from semilin import (
     boolean_exhaustive_check,
     classify,
     descriptor,
-    element,
     extend_functional,
     format_instance,
     is_row_stochastic,
@@ -108,7 +107,7 @@ def test_criterion_3_ones_preimage_construction():
             d,
             n,
             rng,
-            lambda r: element(T, INF) if r.random() < 0.2 else element(T, r.randint(-9, 9)),
+            lambda r: INF if r.random() < 0.2 else Fraction(r.randint(-9, 9)),
         )
         if is_row_stochastic(a):
             continue
@@ -137,7 +136,7 @@ def test_criterion_4_kernel_witness_construction():
             d,
             n,
             rng,
-            lambda r: element(T, INF) if r.random() < 0.25 else element(T, r.randint(-9, 9)),
+            lambda r: INF if r.random() < 0.25 else Fraction(r.randint(-9, 9)),
         )
         b = random_zero_one_col(T, d, rng)
         if principal_solution(a, b) is not None:
@@ -160,7 +159,7 @@ def test_criterion_4_kernel_witness_construction():
             d,
             n,
             rng2,
-            lambda r: element(T, INF) if r.random() < 0.25 else element(T, r.randint(0, 10)),
+            lambda r: INF if r.random() < 0.25 else Fraction(r.randint(0, 10)),
         )
         b = random_zero_one_col(T, d, rng2)
         oracle_member = tropical_member_grid(a, b, lo=-10, hi=10)
@@ -190,7 +189,7 @@ def test_criterion_5_nonneg_rationals_not_exact():
 
     grid_w = [Fraction(k, 4) for k in range(0, 17)]  # 0, 1/4, ..., 4
     grid_solutions = sum(
-        mat_mul(a, ColVec(QP, (element(QP, x).value, element(QP, y).value))) == b
+        mat_mul(a, ColVec(QP, (x, y))) == b
         for x in grid_w
         for y in grid_w
     )

@@ -3,8 +3,8 @@
 The verification suites and the tests replay seeds, so the generators must
 keep drawing from the RNG in the same order.  ``tests/golden_reports.json``
 reaches only ``random_system``; these pins cover ``random_monomial`` (and
-through it ``random_nonzero_element``) and ``random_column_stochastic`` (fed
-by ``random_element``), one seed per carrier.
+through it the carrier's ``random_nonzero``) and ``random_column_stochastic``
+(fed by the carrier's ``random``), one seed per carrier.
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ from random import Random
 
 import pytest
 
-from semilin import SemiringTag, format_instance, is_column_stochastic
-from semilin.sampling import random_column_stochastic, random_element, random_monomial
+from semilin import SemiringTag, carrier, format_instance, is_column_stochastic
+from semilin.sampling import random_column_stochastic, random_monomial
 
 
 def _draw(tag: SemiringTag) -> str:
     rng = Random(f"pin-{tag.value}")
     m, m_inv = random_monomial(tag, 4, rng)
-    a = random_column_stochastic(tag, 3, 4, rng, lambda r: random_element(tag, r))
+    a = random_column_stochastic(tag, 3, 4, rng, carrier(tag).random)
     return format_instance(tag, m) + format_instance(tag, m_inv) + format_instance(tag, a)
 
 
@@ -112,7 +112,7 @@ def test_seeded_generators_match_pins(tag):
 def test_rational_column_stochastic_redraws_columns_summing_to_zero():
     """Seed 27 draws a rational column of nonzero entries that sums to 0."""
     tag = SemiringTag.RATIONAL
-    a = random_column_stochastic(tag, 3, 3, Random(27), lambda r: random_element(tag, r))
+    a = random_column_stochastic(tag, 3, 3, Random(27), carrier(tag).random)
     assert is_column_stochastic(a)
 
 
@@ -122,5 +122,5 @@ def test_column_stochastic_without_rows_is_rejected_before_drawing():
     state = rng.getstate()
     tag = SemiringTag.BOOLEAN
     with pytest.raises(ValueError, match="0x2"):
-        random_column_stochastic(tag, 0, 2, rng, lambda r: random_element(tag, r))
+        random_column_stochastic(tag, 0, 2, rng, carrier(tag).random)
     assert rng.getstate() == state

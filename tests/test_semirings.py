@@ -1,5 +1,6 @@
-"""Carrier arithmetic: frozen examples and the algebraic laws."""
+"""Carrier arithmetic on raw payloads: frozen examples and the algebraic laws."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -11,23 +12,22 @@ from semilin import (
     SemiringTag,
     TagMismatchError,
     TooFewElementsError,
-    InvertZeroError,
-    add,
+    alternative_ones_preimage,
+    carrier,
     col_vec,
     descriptor,
-    element,
-    element_not_below_one,
-    format_element,
-    inv,
+    mat_mul,
     matrix,
-    mul,
-    nat_geq,
-    one,
-    parse_element,
     row_vec,
-    zero,
+    vec_add,
 )
-from tests.strategies import ALL_TAGS, IDEMPOTENT_TAGS, ZERO_SUM_FREE_TAGS, elements, nonzero_elements
+from tests.strategies import (
+    ALL_TAGS,
+    IDEMPOTENT_TAGS,
+    ZERO_SUM_FREE_TAGS,
+    nonzero_payloads,
+    payloads,
+)
 
 T = SemiringTag.TROPICAL
 B = SemiringTag.BOOLEAN
@@ -35,76 +35,94 @@ Q = SemiringTag.RATIONAL
 QP = SemiringTag.NONNEG_RATIONAL
 
 
+def nat_geq(tag, p, q) -> bool:
+    """Natural-order comparison: p >= q iff p + q = p."""
+    return carrier(tag).add(p, q) == p
+
+
 def test_tropical_add_is_min():
-    assert add(element(T, 3), element(T, 5)) == element(T, 3)
+    assert carrier(T).add(Fraction(3), Fraction(5)) == Fraction(3)
 
 
 def test_boolean_add_is_or():
-    assert add(element(B, 1), element(B, 1)) == element(B, 1)
+    assert carrier(B).add(1, 1) == 1
 
 
 def test_tropical_mul_is_plus():
-    assert mul(element(T, 3), element(T, 5)) == element(T, 8)
+    assert carrier(T).mul(Fraction(3), Fraction(5)) == Fraction(8)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
 def test_identities(tag):
-    x = element(tag, 1)
-    assert add(x, zero(tag)) == x
-    assert mul(x, zero(tag)) == zero(tag)
-    assert mul(x, one(tag)) == x
+    c = carrier(tag)
+    (x,) = col_vec(tag, [1]).values
+    assert c.add(x, c.zero) == x
+    assert c.mul(x, c.zero) == c.zero
+    assert c.mul(x, c.one) == x
 
 
 def test_inv_examples():
-    assert inv(element(T, 3)) == element(T, -3)
-    assert inv(element(Q, Fraction(2, 3))) == element(Q, Fraction(3, 2))
-    assert mul(element(T, 3), inv(element(T, 3))) == one(T)
-
-
-@pytest.mark.parametrize("tag", ALL_TAGS)
-def test_inv_of_zero_raises(tag):
-    with pytest.raises(InvertZeroError):
-        inv(zero(tag))
+    t = carrier(T)
+    assert t.inv(Fraction(3)) == Fraction(-3)
+    assert carrier(Q).inv(Fraction(2, 3)) == Fraction(3, 2)
+    assert t.mul(Fraction(3), t.inv(Fraction(3))) == t.one
 
 
 def test_nat_geq_examples():
-    assert nat_geq(element(T, 2), element(T, 5))
-    assert not nat_geq(element(T, 5), element(T, 2))
-    assert nat_geq(element(B, 1), element(B, 0))
+    assert nat_geq(T, Fraction(2), Fraction(5))
+    assert not nat_geq(T, Fraction(5), Fraction(2))
+    assert nat_geq(B, 1, 0)
 
 
 def test_element_not_below_one_canonical():
-    assert element_not_below_one(T) == element(T, -1)
-    assert element_not_below_one(QP) == element(QP, 2)
-    assert element_not_below_one(Q) == element(Q, 2)
+    """The lam of ``alternative_ones_preimage``'s zero-row branch: -1 on min-plus."""
+    lam = alternative_ones_preimage(matrix(T, [[0, 0], [INF, INF]]))
+    assert lam == row_vec(T, [0, -1])
     with pytest.raises(TooFewElementsError):
-        element_not_below_one(B)
+        alternative_ones_preimage(matrix(B, [[1], [1]]))
 
 
 @pytest.mark.parametrize("tag", [T, QP, Q])
 def test_element_not_below_one_contract(tag):
-    lam = element_not_below_one(tag)
-    assert add(one(tag), lam) != one(tag)
+    """Every carrier with more than two elements has a lam with 1 + lam != 1: the
+    least positive integer payload outside {0, 1}, or its inverse."""
+    c = carrier(tag)
+    p = Fraction(next(k for k in (1, 2) if k not in (c.zero, c.one)))
+    lam = p if c.add(c.one, p) != c.one else c.inv(p)
+    assert c.add(c.one, lam) != c.one
 
 
 def test_cross_tag_arithmetic_rejected():
     with pytest.raises(TagMismatchError):
-        add(element(T, 1), element(Q, 1))
+        mat_mul(row_vec(T, [1]), col_vec(Q, [1]))
     with pytest.raises(TagMismatchError):
-        mul(element(B, 1), element(T, 1))
+        vec_add(row_vec(B, [1]), row_vec(T, [1]))
 
 
 def test_exactness_discipline():
     with pytest.raises(TypeError):
-        element(T, 0.5)
+        col_vec(T, [0.5])
     with pytest.raises(TypeError):
-        element(B, True)
+        row_vec(B, [True])
     with pytest.raises(ValueError):
-        element(QP, -1)
+        col_vec(QP, [-1])
     with pytest.raises(ValueError):
-        element(Q, INF)
+        col_vec(Q, [INF])
     with pytest.raises(ValueError):
-        element(B, 2)
+        matrix(B, [[2]])
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Decimal("Infinity"), Decimal("1"), Decimal("0.5"), complex(1, 0), 1.0, float("inf"), None],
+    ids=["decimal-infinity", "decimal-int", "decimal-half", "complex", "float", "float-inf", "none"],
+)
+def test_builders_reject_other_types_with_type_error(value):
+    """Only ints, Fractions, INF and tokens are builder input; a Decimal infinity
+    used to escape as OverflowError and a finite Decimal used to pass."""
+    for build in (col_vec, row_vec, lambda tag, xs: matrix(tag, [xs])):
+        with pytest.raises(TypeError):
+            build(T, [value])
 
 
 # --- token grammar ------------------------------------------------------------
@@ -124,7 +142,8 @@ def test_exactness_discipline():
     ],
 )
 def test_parse_element_canonicalizes(tag, token, canonical):
-    assert format_element(parse_element(tag, token)) == canonical
+    c = carrier(tag)
+    assert c.format(c.parse(token)) == canonical
 
 
 @pytest.mark.parametrize(
@@ -136,19 +155,20 @@ def test_parse_element_canonicalizes(tag, token, canonical):
 )
 def test_parse_element_rejects(tag, token):
     with pytest.raises(ValueError):
-        parse_element(tag, token)
+        carrier(tag).parse(token)
 
 
 def test_builders_read_strings_with_the_token_grammar():
-    """A string given to ``element`` or a builder is a token, read as ``parse_element`` reads it."""
+    """A string given to a builder is a token, read as the carrier's ``parse`` reads it."""
     assert matrix(T, [["inf"]]).values == ((INF,),)
-    assert element(T, " 1/2 ") == parse_element(T, "1/2")
+    assert col_vec(T, [" 1/2 "]).values == (carrier(T).parse("1/2"),)
     assert col_vec(Q, ["-2/4"]).values == (Fraction(-1, 2),)
-    assert element(B, "1").value == 1 and type(element(B, "1").value) is int
+    (bit,) = col_vec(B, ["1"]).values
+    assert bit == 1 and type(bit) is int
     for build in (
         lambda: col_vec(Q, ["1e3"]),
         lambda: col_vec(Q, ["1_0"]),
-        lambda: element(B, "0.0"),
+        lambda: col_vec(B, ["0.0"]),
         lambda: row_vec(T, ["1/0"]),
     ):
         with pytest.raises(ValueError):
@@ -156,17 +176,20 @@ def test_builders_read_strings_with_the_token_grammar():
 
 
 def test_builders_coerce_non_strings_as_before():
-    assert element(T, 3).value == Fraction(3)
-    assert element(Q, Fraction(2, 4)).value == Fraction(1, 2)
-    assert element(T, element(T, INF)) == zero(T)
-    assert element(B, Fraction(1)).value == 1 and type(element(B, Fraction(1)).value) is int
+    assert col_vec(T, [3]).values == (Fraction(3),)
+    assert type(col_vec(T, [3]).values[0]) is Fraction
+    assert col_vec(Q, [Fraction(2, 4)]).values == (Fraction(1, 2),)
+    assert col_vec(T, [INF]).values == (carrier(T).zero,)
+    (bit,) = col_vec(B, [Fraction(1)]).values
+    assert bit == 1 and type(bit) is int
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
 @given(data=st.data())
 def test_format_parse_roundtrip(tag, data):
-    e = data.draw(elements(tag))
-    assert parse_element(tag, format_element(e)) == e
+    c = carrier(tag)
+    x = data.draw(payloads(tag))
+    assert c.parse(c.format(x)) == x
 
 
 # --- semiring axioms ----------------------------------------------------------
@@ -175,51 +198,56 @@ def test_format_parse_roundtrip(tag, data):
 @pytest.mark.parametrize("tag", ALL_TAGS)
 @given(data=st.data())
 def test_semiring_axioms(tag, data):
-    a = data.draw(elements(tag))
-    b = data.draw(elements(tag))
-    c = data.draw(elements(tag))
+    k = carrier(tag)
+    add, mul, zero = k.add, k.mul, k.zero
+    a = data.draw(payloads(tag))
+    b = data.draw(payloads(tag))
+    c = data.draw(payloads(tag))
     assert add(a, b) == add(b, a)
     assert add(add(a, b), c) == add(a, add(b, c))
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
     assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
     assert mul(add(a, b), c) == add(mul(a, c), mul(b, c))
-    assert mul(a, zero(tag)) == zero(tag)
-    assert mul(zero(tag), a) == zero(tag)
+    assert mul(a, zero) == zero
+    assert mul(zero, a) == zero
 
 
 @pytest.mark.parametrize("tag", IDEMPOTENT_TAGS)
 @given(data=st.data())
 def test_natural_order_laws(tag, data):
-    p = data.draw(elements(tag))
-    q = data.draw(elements(tag))
-    r = data.draw(elements(tag))
-    s = data.draw(elements(tag))
+    add, mul = carrier(tag).add, carrier(tag).mul
+    p = data.draw(payloads(tag))
+    q = data.draw(payloads(tag))
+    r = data.draw(payloads(tag))
+    s = data.draw(payloads(tag))
     assert add(p, p) == p
-    assert nat_geq(p, p)
-    if nat_geq(p, q) and nat_geq(q, r):
-        assert nat_geq(p, r)
-    if nat_geq(p, q) and nat_geq(q, p):
+    assert nat_geq(tag, p, p)
+    if nat_geq(tag, p, q) and nat_geq(tag, q, r):
+        assert nat_geq(tag, p, r)
+    if nat_geq(tag, p, q) and nat_geq(tag, q, p):
         assert p == q
-    if nat_geq(p, r) and nat_geq(q, s):
-        assert nat_geq(add(p, q), add(r, s))
-        assert nat_geq(mul(p, q), mul(r, s))
+    if nat_geq(tag, p, r) and nat_geq(tag, q, s):
+        assert nat_geq(tag, add(p, q), add(r, s))
+        assert nat_geq(tag, mul(p, q), mul(r, s))
 
 
 @pytest.mark.parametrize("tag", ZERO_SUM_FREE_TAGS)
 @given(data=st.data())
 def test_zero_sum_free(tag, data):
-    p = data.draw(elements(tag))
-    q = data.draw(elements(tag))
-    if add(p, q) == zero(tag):
-        assert p == zero(tag) and q == zero(tag)
+    c = carrier(tag)
+    p = data.draw(payloads(tag))
+    q = data.draw(payloads(tag))
+    if c.add(p, q) == c.zero:
+        assert p == c.zero and q == c.zero
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
 @given(data=st.data())
 def test_inv_involution(tag, data):
-    a = data.draw(nonzero_elements(tag))
-    assert inv(inv(a)) == a
-    assert mul(a, inv(a)) == one(tag)
+    c = carrier(tag)
+    a = data.draw(nonzero_payloads(tag))
+    assert c.inv(c.inv(a)) == a
+    assert c.mul(a, c.inv(a)) == c.one
 
 
 # --- descriptors ---------------------------------------------------------------
@@ -244,3 +272,4 @@ def test_descriptor_idempotent_implies_zero_sum_free():
     for tag in ALL_TAGS:
         d = descriptor(tag)
         assert (not d.is_idempotent) or d.is_zero_sum_free
+        assert carrier(tag).descriptor is d

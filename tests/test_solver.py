@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, product
 from random import Random
@@ -20,6 +21,7 @@ from semilin import (
     TagMismatchError,
     UnsupportedCarrierError,
     ZeroColumnError,
+    carrier,
     check_certificate,
     col_vec,
     extend_functional,
@@ -28,10 +30,8 @@ from semilin import (
     mat_mul,
     matrix,
     membership_certified,
-    nat_geq,
     principal_solution,
     row_vec,
-    zero,
     zeros_col,
 )
 from semilin.sampling import (
@@ -41,7 +41,9 @@ from semilin.sampling import (
     random_system,
     random_zero_one_col,
 )
-from semilin.solver import _checked_solution, _row_reduce
+from semilin.matrices import _normalize_raw
+from semilin.solver import _checked_solution, _residuate, _row_reduce
+from semilin.witness import _closed_form_pair
 from tests.oracles import (
     boolean_member,
     certificate_holds_reference,
@@ -90,7 +92,7 @@ def test_principal_solution_guards():
 def test_principal_solution_completeness_tropical():
     """Returns a vector iff b is in the right image, against the grid oracle."""
     rng = Random(101)
-    entry = lambda r: zero(T) if r.random() < 0.2 else _finite(T, r, 0, 10)
+    entry = lambda r: INF if r.random() < 0.2 else _finite(T, r, 0, 10)
     checked_member = checked_nonmember = 0
     for _ in range(80):
         d, n = rng.randint(1, 3), rng.randint(1, 3)
@@ -105,9 +107,8 @@ def test_principal_solution_completeness_tropical():
 
 
 def _finite(tag, rng, lo, hi):
-    from semilin import element
-
-    return element(tag, rng.randint(lo, hi))
+    x = rng.randint(lo, hi)
+    return x if tag is B else Fraction(x)
 
 
 def test_principal_solution_completeness_boolean():
@@ -126,7 +127,7 @@ def test_principal_solution_maximality(tag):
     for _ in range(60):
         d, n = rng.randint(1, 4), rng.randint(1, 4)
         entry = (lambda r: _finite(B, r, 0, 1)) if tag is B else (
-            lambda r: zero(T) if r.random() < 0.15 else _finite(T, r, -5, 5)
+            lambda r: INF if r.random() < 0.15 else _finite(T, r, -5, 5)
         )
         a = random_column_stochastic(tag, d, n, rng, entry)
         w = random_col_vec(tag, n, rng)
@@ -134,7 +135,8 @@ def test_principal_solution_maximality(tag):
         xhat = principal_solution(a, b)
         assert xhat is not None
         assert mat_mul(a, xhat) == b
-        assert all(nat_geq(x, y) for x, y in zip(xhat.entries, w.entries))
+        add = carrier(tag).add
+        assert all(add(x, y) == x for x, y in zip(xhat.values, w.values))  # xhat >= w
 
 
 # --- rational elimination ---------------------------------------------------------
@@ -153,8 +155,8 @@ def test_field_solve_refutation():
     result = field_solve(a, b)
     assert result.kind is SolveKind.REFUTATION
     assert certificate_holds_reference(a, b, result.u, result.v)
-    assert all(e.value >= 0 for e in result.u.entries)
-    assert all(e.value >= 0 for e in result.v.entries)
+    assert all(x >= 0 for x in result.u.values)
+    assert all(x >= 0 for x in result.v.values)
 
 
 def test_field_solve_probe_instance():
@@ -472,7 +474,7 @@ def _boolean_draw(rng: Random):
 
 
 def test_raw_core_matches_element_reference():
-    """The integer-scaled raw core returns exactly the former Element pipeline's answers."""
+    """The integer-scaled raw core returns exactly the unscaled reference pipeline's answers."""
     rng = Random(707)
     draws = [_tropical_draw(rng) for _ in range(2000)] + [_boolean_draw(rng) for _ in range(1000)]
     kinds = {}
@@ -482,9 +484,75 @@ def test_raw_core_matches_element_reference():
         got = (result.kind.value, result.w, result.u, result.v)
         assert got == idempotent_membership_reference(a, b), (a, b)
         kinds[a.tag, got[0]] = kinds.get((a.tag, got[0]), 0) + 1
-        scaled += any(e.value is not INF and e.value.denominator > 1 for e in chain(*a.entries))
+        scaled += any(x is not INF and x.denominator > 1 for x in chain(*a.values))
     assert min(kinds.values()) >= 200 and len(kinds) == 4
     assert scaled >= 1500
+
+
+# --- a non-chain idempotent carrier ---------------------------------------------------
+#
+# Z^2 under componentwise min and +, with INF as zero: idempotent, but (0, 1) and
+# (1, 0) are incomparable, so the raw stages run beyond the chains of the built-in
+# carriers.  The stages read only zero, one, add, mul and inv of the record; its
+# other fields stay min-plus's and go unused.
+
+
+def _z2_add(x, y):
+    if x is INF or y is INF:
+        return y if x is INF else x
+    return (min(x[0], y[0]), min(x[1], y[1]))
+
+
+def _z2_mul(x, y):
+    return INF if x is INF or y is INF else (x[0] + y[0], x[1] + y[1])
+
+
+_Z2 = replace(carrier(T), one=(0, 0), add=_z2_add, mul=_z2_mul, inv=lambda x: (-x[0], -x[1]))
+
+
+def _z2_dot(xs, ys) -> tuple:
+    """xs·ys by the test's own loops: a min-plus dot product per component, INF as inf."""
+    lifted = [[(math.inf, math.inf) if x is INF else x for x in v] for v in (xs, ys)]
+    return tuple(min((x[k] + y[k] for x, y in zip(*lifted)), default=math.inf) for k in (0, 1))
+
+
+def _z2_unscale(x, s):
+    """x·s^-1 for a nonzero s."""
+    return INF if x is INF else (x[0] - s[0], x[1] - s[1])
+
+
+def test_raw_stages_decide_a_non_chain_idempotent_carrier():
+    """Normalize, residuate and the closed-form pair over Z^2: every answer checks."""
+    rng = Random(4242)
+    entry = lambda: INF if rng.random() < 0.3 else (rng.randint(-3, 3), rng.randint(-3, 3))
+    solutions = pairs = unattained = 0
+    for _ in range(400):
+        d, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[entry() for _ in range(n)] for _ in range(d)]
+        if rng.random() < 0.5:
+            w = [entry() for _ in range(n)]
+            rhs = [INF if math.inf in p else p for p in (_z2_dot(row, w) for row in rows)]
+        else:
+            rhs = [entry() for _ in range(d)]
+        if all(x is INF for x in rhs) or all(x is INF for row in rows for x in row):
+            continue  # membership_certified answers these before normalizing
+        a_norm, b_norm, beta, alpha, kept = _normalize_raw(_Z2, _Z2.one, rows, rhs)
+        # a column sum of one that no single entry attains exists only off a chain
+        unattained += any((0, 0) not in col for col in zip(*a_norm))
+        xhat = _residuate(_Z2, a_norm, b_norm)
+        if xhat is not None:
+            w = [INF] * n
+            for j, s, x in zip(kept, alpha, xhat):
+                w[j] = _z2_unscale(x, s)
+            assert [_z2_dot(row, w) for row in rows] == [_z2_dot([x], [(0, 0)]) for x in rhs]
+            solutions += 1
+        else:
+            pair = _closed_form_pair(_Z2, _Z2.one, a_norm, b_norm)
+            u, v = ([_z2_unscale(x, s) for x, s in zip(w, beta)] for w in pair)
+            assert all(_z2_dot(u, col) == _z2_dot(v, col) for col in zip(*rows))
+            assert _z2_dot(u, rhs) != _z2_dot(v, rhs)
+            pairs += 1
+    assert solutions >= 20 and pairs >= 20 and unattained >= 20, (solutions, pairs, unattained)
 
 
 @pytest.mark.parametrize("tag", [B, T, Q])
@@ -538,7 +606,7 @@ def test_membership_dichotomy_and_soundness(tag):
 
 def test_membership_tropical_agrees_with_grid_oracle():
     rng = Random(108)
-    entry = lambda r: zero(T) if r.random() < 0.2 else _finite(T, r, 0, 10)
+    entry = lambda r: INF if r.random() < 0.2 else _finite(T, r, 0, 10)
     for _ in range(60):
         d, n = rng.randint(1, 3), rng.randint(1, 3)
         a = random_column_stochastic(T, d, n, rng, entry)
