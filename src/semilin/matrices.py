@@ -6,16 +6,15 @@ payloads, ``values``, checked once by the carrier's ``check``; ``matrix``,
 matrix has at least one row but may have zero columns (dropping all-zero
 columns can empty it); the right image of a zero-column matrix is {0}.
 
-The column-stochastic normal form lives here too: any system A·w = b over a
-zero-sum-free carrier scales to one whose columns sum to the multiplicative
-identity and whose right-hand side is a 0/1 vector, and the scalings are
-invertible diagonals, so answers map back exactly.  It is computed on raw
-payloads through the carrier record (``_normalize_raw``, ``_unscaled``),
-which ``normalize``, ``inflate_solution`` and ``unscale_certificate`` wrap
-with their checks.  The solver feeds them an integer-scaled copy of an
-idempotent system (``_integer_scaled``): min-plus is homogeneous under
-x -> l·x for a positive integer l, so scaling by the lcm of the denominators
-leaves only ints and INF, and ``_unscaled`` divides the answer back by l.
+The column-stochastic normal form lives here too, as the CLI's ``normalize``
+prints it: any system A·w = b over a zero-sum-free carrier scales to one
+whose columns sum to the multiplicative identity and whose right-hand side
+is a 0/1 vector, and the scalings are invertible diagonals, so answers map
+back exactly (``inflate_solution``, ``unscale_certificate``).  The solver
+never builds it.  It decides an integer-scaled copy of an idempotent system
+(``_integer_scaled``) instead: min-plus is homogeneous under x -> l·x for a
+positive integer l, so scaling by the lcm of the denominators leaves only
+ints and INF, and ``_divided`` maps the answer back by l.
 """
 
 from __future__ import annotations
@@ -288,20 +287,23 @@ def _check_system(a: Matrix, b: ColVec, w: ColVec | None = None) -> None:
         raise DimensionMismatchError(f"matrix has {a.cols} columns, solution has {w.length}")
 
 
-def _integer_scaled(a: Matrix, b: ColVec) -> tuple[int, Payload, list[list], list]:
-    """(l, one, A, b): an idempotent system times the lcm l of the finite
-    denominators of [A | b], as raw payloads, and the carrier's one scaled."""
+def _integer_scaled(a: Matrix, b: ColVec) -> tuple[int, list[list], list]:
+    """(l, A, b): an idempotent system times the lcm l of the finite
+    denominators of [A | b], as raw payloads."""
     # a set, not a generator: a tuple built from a generator is resized, and
     # freed tuples of its length then pile up on the interpreter's free lists
     l = lcm(*{x.denominator for row in (*a.values, b.values) for x in row if x is not INF})
-    (one,) = _scaled(l, (_CARRIERS[a.tag].one,))
-    return l, one, [_scaled(l, row) for row in a.values], _scaled(l, b.values)
+    return l, [_scaled(l, row) for row in a.values], _scaled(l, b.values)
 
 
-def _normalize_raw(c: Carrier, one: Payload, rows: list[list], rhs: list) -> tuple:
-    """(a_norm, b_norm, row_scale, col_scale, kept_columns) of ``normalize``,
-    raw; ``one`` is the carrier's one in the units of the payloads."""
-    z = c.zero
+def _divided(c: Carrier, l: int, xs: Iterable[Payload]) -> tuple[Payload, ...]:
+    """x/l for each payload x of an answer to the integer-scaled system."""
+    return tuple(c.unscale(x, l) for x in xs)
+
+
+def _normalize_raw(c: Carrier, rows: list[list], rhs: list) -> tuple:
+    """(a_norm, b_norm, row_scale, col_scale, kept_columns) of ``normalize``, raw."""
+    z, one = c.zero, c.one
     kept = [j for j, col in enumerate(zip(*rows)) if any(x != z for x in col)]
     beta = [one if x == z else x for x in rhs]
     beta_inv = list(map(c.inv, beta))
@@ -319,13 +321,13 @@ def _normalize_raw(c: Carrier, one: Payload, rows: list[list], rhs: list) -> tup
     return a_norm, b_norm, beta, alpha, kept
 
 
-def _unscaled(c: Carrier, l: int, scales, at, size: int, values) -> list[Payload]:
-    """x_k·scales_k^-1 / l at position at[k] of a zero vector: a normalized
+def _unscaled(c: Carrier, scales, at, size: int, values) -> tuple[Payload, ...]:
+    """x_k·scales_k^-1 at position at[k] of a zero vector: a normalized
     solution (at = kept columns) or kernel-pair row back in the caller's units."""
     full = [c.zero] * size
     for k, s, x in zip(at, scales, values):
-        full[k] = c.unscale(c.mul(c.inv(s), x), l)
-    return full
+        full[k] = c.mul(c.inv(s), x)
+    return tuple(full)
 
 
 def normalize(a: Matrix, b: ColVec) -> NormalizedSystem:
@@ -340,7 +342,7 @@ def normalize(a: Matrix, b: ColVec) -> NormalizedSystem:
     if not descriptor(tag).is_zero_sum_free:
         raise NotZeroSumFreeError(f"the {tag.value} carrier is not zero-sum free")
     c = _CARRIERS[tag]
-    a_norm, b_norm, beta, alpha, kept = _normalize_raw(c, c.one, a.values, b.values)
+    a_norm, b_norm, beta, alpha, kept = _normalize_raw(c, a.values, b.values)
     a_norm = Matrix(tag, a.rows, len(kept), a_norm)
     return NormalizedSystem(
         a_norm, ColVec(tag, b_norm), tuple(beta), tuple(alpha), tuple(kept), a.cols
@@ -354,9 +356,8 @@ def inflate_solution(system: NormalizedSystem, w_norm: ColVec) -> ColVec:
         raise TagMismatchError("solution and system carriers differ")
     if w_norm.length != len(system.kept_columns):
         raise DimensionMismatchError("solution length does not match kept columns")
-    c, scales = _CARRIERS[tag], system.col_scale
-    w = _unscaled(c, 1, scales, system.kept_columns, system.original_cols, w_norm.values)
-    return ColVec(tag, tuple(w))
+    kept, size = system.kept_columns, system.original_cols
+    return ColVec(tag, _unscaled(_CARRIERS[tag], system.col_scale, kept, size, w_norm.values))
 
 
 def unscale_certificate(
@@ -370,5 +371,5 @@ def unscale_certificate(
     if u_norm.length != d or v_norm.length != d:
         raise DimensionMismatchError("certificate length does not match row count")
     c, scales = _CARRIERS[tag], system.row_scale
-    u, v = (tuple(_unscaled(c, 1, scales, range(d), d, w.values)) for w in (u_norm, v_norm))
-    return RowVec(tag, u), RowVec(tag, v)
+    u, v = (RowVec(tag, _unscaled(c, scales, range(d), d, w.values)) for w in (u_norm, v_norm))
+    return u, v

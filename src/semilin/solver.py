@@ -12,9 +12,11 @@ Over the boolean, tropical and rational carriers exactly one of the two is
 returned for every system.  Every stage reads the containers' raw payloads
 (``values``).  The idempotent carriers:
 [A | b] is scaled by the lcm l of its denominators (min-plus is homogeneous
-under x -> l·x), normalized, residuated and, on failure, refuted by the
-closed-form kernel pair, all on ints and INF, and the answer is divided back
-by l.  The rational carriers are decided by exact elimination,
+under x -> l·x), residuated and, on failure, refuted by the closed-form
+kernel pair of the failing row (``witness._residuate``,
+``witness._closed_form_pair``), in one pass on ints and INF and in the
+caller's coordinates: no normal form is built, and the answer is only divided
+back by l.  The rational carriers are decided by exact elimination,
 ``_row_reduce``: fraction-free Gauss-Jordan on integer-scaled rows, which
 also yields the refutation row and the null basis.  The nonnegative-rational
 carrier admits a third outcome, NO_SOLUTION, for systems proved unsolvable
@@ -30,32 +32,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 from itertools import islice, product
 from math import lcm
 from typing import Optional
 
-from .errors import (
-    InternalInvariantError,
-    MembershipDetectedError,
-    UnsupportedCarrierError,
-    ZeroColumnError,
-)
+from .errors import InternalInvariantError, UnsupportedCarrierError, ZeroColumnError
 from .matrices import (
     ColVec,
     Matrix,
     RowVec,
     _check_system,
+    _divided,
     _image_sides,
     _integer_scaled,
-    _normalize_raw,
-    _unscaled,
     unit_row,
-    zeros_col,
     zeros_row,
 )
-from .semirings import _CARRIERS, Carrier, Payload, descriptor
-from .witness import _closed_form_pair, check_certificate
+from .semirings import _CARRIERS, descriptor
+from .witness import _closed_form_pair, _residuate, check_certificate
 
 
 class SolveKind(Enum):
@@ -105,24 +99,6 @@ class ExtensionResult:
     detail: str = ""
 
 
-def _residuate(c: Carrier, rows: list[list], rhs: list) -> Optional[list[Payload]]:
-    """``principal_solution`` on raw payloads.  In an idempotent semifield x + y
-    is the join of the natural order and inversion reverses that order on the
-    nonzero elements, so (x + y)^-1 is the meet of x^-1 and y^-1; hence the
-    meet of the A_ij^-1·b_i is (sum of A_ij·b_i^-1)^-1, or 0 (the least
-    element) if one of the b_i is 0.  No total order is needed."""
-    z = c.zero
-    b_inv = [None if x == z else c.inv(x) for x in rhs]
-    xhat = []
-    for j, col in enumerate(zip(*rows)):
-        terms = [None if s is None else c.mul(x, s) for x, s in zip(col, b_inv) if x != z]
-        if not terms:
-            raise ZeroColumnError(f"column {j} is entirely zero; strip zero columns first")
-        xhat.append(z if None in terms else c.inv(reduce(c.add, terms)))
-    solves = all(reduce(c.add, map(c.mul, row, xhat), z) == x for row, x in zip(rows, rhs))
-    return xhat if solves else None
-
-
 def principal_solution(a: Matrix, b: ColVec) -> Optional[ColVec]:
     """Greatest candidate solution under the natural order, or None.
 
@@ -138,8 +114,12 @@ def principal_solution(a: Matrix, b: ColVec) -> Optional[ColVec]:
     tag = a.tag
     if not descriptor(tag).is_idempotent:
         raise UnsupportedCarrierError("residuation needs an idempotent carrier")
-    xhat = _residuate(_CARRIERS[tag], a.values, b.values)
-    return None if xhat is None else ColVec(tag, tuple(xhat))
+    c = _CARRIERS[tag]
+    for j, col in enumerate(zip(*a.values)):
+        if all(x == c.zero for x in col):
+            raise ZeroColumnError(f"column {j} is entirely zero; strip zero columns first")
+    xhat, i, _ = _residuate(c, a.values, b.values)
+    return None if i is not None else ColVec(tag, tuple(xhat))
 
 
 # --- exact rational elimination ---------------------------------------------
@@ -308,11 +288,11 @@ def membership_certified(a: Matrix, b: ColVec) -> CertifiedSolveResult:
     """Decide b in right-im A with a certificate, routed as the exactness theorem.
 
     A ring (has -1): exact elimination.  Idempotent: scale [A | b] by the
-    lcm l of its denominators (l = 1 over the booleans), normalize to
-    column-stochastic form, residuate, and on failure build the closed-form
-    kernel pair of the failing row, the same formula on every idempotent
-    carrier; the answer maps back through the inverse scalings and a
-    division by l.  All of this runs on raw payloads.  Neither (the
+    lcm l of its denominators (l = 1 over the booleans), residuate, and on
+    failure build the closed-form kernel pair of the failing row, the same
+    formula on every idempotent carrier and in the caller's coordinates, so
+    the answer maps back by a division by l alone; an all-zero A gets the
+    simpler pair (e_i, 0).  All of this runs on raw payloads.  Neither (the
     nonnegative rationals): elimination plus a bounded search.  Every
     Solution and Refutation is checked against the caller's own (A, b), never
     the scaled copy, before it is returned, and that is the only check, so
@@ -327,26 +307,14 @@ def membership_certified(a: Matrix, b: ColVec) -> CertifiedSolveResult:
         return _eliminate(a, b)
 
     c = _CARRIERS[tag]
-    z = c.zero
-    if all(x == z for x in b.values):
-        return _checked_solution(a, b, zeros_col(tag, a.cols))
-    if all(x == z for row in a.values for x in row):
-        i = next(i for i, x in enumerate(b.values) if x != z)
-        return _checked_refutation(a, b, unit_row(tag, a.rows, i), zeros_row(tag, a.rows))
-
-    l, o, rows, rhs = _integer_scaled(a, b)
-    a_norm, b_norm, beta, alpha, kept = _normalize_raw(c, o, rows, rhs)
-    xhat = _residuate(c, a_norm, b_norm)
-    if xhat is not None:
-        w = _unscaled(c, l, alpha, kept, a.cols, xhat)
-        return _checked_solution(a, b, ColVec(tag, tuple(w)))
-    try:
-        pair = _closed_form_pair(c, o, a_norm, b_norm)
-    except MembershipDetectedError as exc:
-        raise InternalInvariantError(
-            f"residuation found no solution but the witness builder found one: {exc}"
-        ) from exc
-    u, v = (RowVec(tag, tuple(_unscaled(c, l, beta, range(a.rows), a.rows, w))) for w in pair)
+    l, rows, rhs = _integer_scaled(a, b)
+    xhat, i, p = _residuate(c, rows, rhs)
+    if i is None:
+        return _checked_solution(a, b, ColVec(tag, _divided(c, l, xhat)))
+    if all(x == c.zero for row in rows for x in row):
+        u, v = unit_row(tag, a.rows, i), zeros_row(tag, a.rows)
+    else:
+        u, v = (RowVec(tag, _divided(c, l, w)) for w in _closed_form_pair(c, rows, rhs, i, p))
     return _checked_refutation(a, b, u, v)
 
 

@@ -3,16 +3,17 @@
 A pair of row vectors (u, v) with u·A = v·A but u·b != v·b proves that b is
 not of the form A·w: applying both sides to any candidate w gives
 u·b = u·A·w = v·A·w = v·b, a contradiction.  Every idempotent carrier is
-left exact, so every unsolvable normalized system over one has such a pair,
-and this module builds it with one closed-form builder read off the row where
-residuation fails; ``kernel_witness`` (min-plus) and
-``boolean_kernel_witness`` are its public faces.  It also validates any
-claimed pair and provides the canonical 2x2 system that separates the exact
-carriers from the nonnegative-rational one.
+left exact, so every unsolvable system over one has such a pair.  This module
+holds the two raw stages that decide an idempotent system: residuation,
+``_residuate``, and the closed-form pair read off the first row where it
+fails, ``_closed_form_pair``, both in the caller's own coordinates;
+``kernel_witness`` (min-plus) and ``boolean_kernel_witness`` are the pair's
+public faces.  It also validates any claimed pair and provides the canonical
+2x2 system that separates the exact carriers from the nonnegative-rational one.
 
 The public constructions check their own postconditions and raise
 InternalInvariantError on violation: a failure here is a bug, never a
-property of the input.  The solver calls the builder unchecked, on the raw
+property of the input.  The solver calls both stages unchecked, on the raw
 rows of an integer-scaled copy, because it checks every answer against the
 caller's original system itself.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from typing import Optional
 
 from .errors import (
     InternalInvariantError,
@@ -95,56 +97,82 @@ def alternative_ones_preimage(a: Matrix) -> RowVec:
     return result
 
 
-def _closed_form_pair(c: Carrier, one: Payload, rows: list[list], rhs: list) -> tuple[list, list]:
-    """Kernel pair of a normalized idempotent system on raw payloads, unchecked.
+def _residuate(c: Carrier, rows: list[list], rhs: list) -> tuple[list, Optional[int], Payload]:
+    """Residuation on raw payloads: (xhat, i, p) with p = (A·xhat)_i != b_i at the
+    first such row i, or (xhat, None, None) when xhat solves A·w = b.
 
-    The argument uses only the natural order p >= q iff p + q = p, a lattice
-    with + as its join on any idempotent semifield, in which multiplication is
-    monotone and inversion reverses the order; no chain is needed.  With Z
-    the rows where b is 0, O the rows where it is 1 and m_j = sum of A_kj
-    over k in Z, residuation gives 1 on the columns with m_j = 0 and 0 on the
-    others, so it fails exactly at a row i in O with s_i = sum of A_ij over j
-    with m_j = 0 different from 1.  Each such A_ij is below its column sum 1,
-    so s_i < 1.  Take the first such i, lam = 1 if s_i = 0 and s_i^-1 > 1
-    otherwise, and H = 1 + sum of lam·A_ij·m_j^-1 over j with m_j, A_ij != 0.
-    Then v is H on Z and, on O, 0 if s_i = 0 and 1 otherwise; u is v with
-    u_i = lam >= v_i, so u·A = v·A + lam·A_i and it suffices that
-    lam·A_ij <= (v·A)_j on every column j with A_ij != 0.  If m_j != 0,
-    (v·A)_j >= H·m_j >= lam·A_ij.  If m_j = 0, then s_i >= A_ij is nonzero,
-    v is 1 on all of O and (v·A)_j >= sum of A_kj over k in O = 1 =
-    lam·s_i >= lam·A_ij.  So u·A = v·A, while u·b = 1 != 0 = v·b or
-    u·b = lam != 1 = v·b.  The arithmetic is the carrier's own; over the
-    two-element carrier s_i = 0 and H = 1, which leaves u = e_i + 1_Z,
-    v = 1_Z.  ``one`` is the carrier's one in the units of the payloads,
-    which may be integer-scaled.
-
-    Raises MembershipDetectedError when no row fails: residuation then solves
-    A·w = b.
+    In an idempotent semifield x + y is the join of the natural order and
+    inversion reverses that order on the nonzero elements, so (x + y)^-1 is the
+    meet of x^-1 and y^-1; hence the meet of the A_ij^-1·b_i over A_ij != 0 is
+    xhat_j = (sum of A_ij·b_i^-1)^-1, or 0 (the least element) if one of those
+    b_i is 0 or the column is zero.  No total order is needed.  xhat is the
+    greatest w with A·w <= b and A·w is monotone in w, so the system is
+    solvable iff xhat solves it.  A row with b_i = 0 never fails: its nonzero
+    entries lie in columns where xhat is 0.
     """
-    z, o = c.zero, one
+    z = c.zero
+    b_inv = [None if x == z else c.inv(x) for x in rhs]
+    xhat = []
+    for col in zip(*rows):
+        terms = [None if s is None else c.mul(x, s) for x, s in zip(col, b_inv) if x != z]
+        xhat.append(z if not terms or None in terms else c.inv(reduce(c.add, terms)))
+    for i, (row, x) in enumerate(zip(rows, rhs)):
+        p = reduce(c.add, map(c.mul, row, xhat), z)
+        if p != x:
+            return xhat, i, p
+    return xhat, None, None
+
+
+def _closed_form_pair(c: Carrier, rows: list[list], rhs: list, i: int, p: Payload) -> tuple:
+    """Kernel pair (u, v) of an idempotent system on raw payloads, unchecked,
+    read off the row i where residuation fails with p = (A·xhat)_i.
+
+    The argument uses only the natural order q >= r iff q + r = q, a lattice
+    with + as its join on any idempotent semifield, in which multiplication is
+    monotone and inversion reverses the order; no chain is needed.  Let Z be
+    the rows where b is 0, O the others and M_j = sum of A_kj over k in Z.
+    Row i is in O, and A·xhat <= b with p != b_i, so s = b_i^-1·p < 1.  Take
+    lam = 1 if s = 0 and s^-1 > 1 otherwise, and H = 1 + sum of
+    lam·b_i^-1·A_ij·M_j^-1 over j with M_j, A_ij != 0.  Then v is H on Z and,
+    on O, 0 if s = 0 and b_k^-1 otherwise; u is v with u_i = lam·b_i^-1 >= v_i,
+    so u·A = v·A + lam·b_i^-1·A_i and it suffices that lam·b_i^-1·A_ij <=
+    (v·A)_j on every column j with A_ij != 0.  If M_j != 0,
+    (v·A)_j >= H·M_j >= lam·b_i^-1·A_ij.  If M_j = 0, then xhat_j is the
+    inverse of the sum of b_k^-1·A_kj over k in O, nonzero, and
+    A_ij·xhat_j <= p; so s != 0, v is b^-1 on O, and (v·A)_j >= xhat_j^-1 >=
+    lam·b_i^-1·A_ij, the last step being b_i^-1·A_ij·xhat_j <= s = lam^-1.
+    So u·A = v·A, while u·b = 1 != 0 = v·b or u·b = lam != 1 = v·b.  Over the
+    two-element carrier s = 0 and H = 1, which leaves u = e_i + 1_Z, v = 1_Z.
+
+    This is the paper's pair on the column-stochastic form C^-1·A·D^-1 with
+    C = diag(b_k, or 1 where b_k = 0), mapped back by C^-1.  The column scales
+    cancel: that form's m_j·D_j is M_j, and on a column j with M_j = 0
+    residuation computes D_j^-1 as xhat_j, so the failing row's sum there is
+    b_i^-1·(A·xhat)_i = s.  The arithmetic is the carrier's own; scaling
+    min-plus payloads by an integer fixes its one, 0, so ``c.one`` serves there.
+    """
+    z, o = c.zero, c.one
     z_rows = [row for row, x in zip(rows, rhs) if x == z]
-    m = [reduce(c.add, (row[j] for row in z_rows), z) for j in range(len(rows[0]))]
-    for i, x in enumerate(rhs):
-        if x != z:
-            s = reduce(c.add, (y for y, mj in zip(rows[i], m) if mj == z), z)
-            if s != o:
-                break
-    else:
-        raise MembershipDetectedError("residuation solves A·w = b")
+    m = [reduce(c.add, (row[j] for row in z_rows), z) for j in range(len(rows[i]))]
+    b_inv = [None if x == z else c.inv(x) for x in rhs]
+    s = c.mul(b_inv[i], p)
     lam = o if s == z else c.inv(s)
+    lb = c.mul(lam, b_inv[i])
     heavy = reduce(
         c.add,
-        (c.mul(c.mul(lam, x), c.inv(mj)) for x, mj in zip(rows[i], m) if x != z and mj != z),
+        (c.mul(c.mul(lb, x), c.inv(mj)) for x, mj in zip(rows[i], m) if x != z and mj != z),
         o,
     )
-    v_on_o = z if s == z else o
-    v = [heavy if x == z else v_on_o for x in rhs]
-    return v[:i] + [lam] + v[i + 1 :], v
+    v = [heavy if y is None else z if s == z else y for y in b_inv]
+    return v[:i] + [lb] + v[i + 1 :], v
 
 
 def _self_checked_pair(a: Matrix, b: ColVec) -> tuple[RowVec, RowVec]:
     c = _CARRIERS[a.tag]
-    u, v = (RowVec(a.tag, tuple(w)) for w in _closed_form_pair(c, c.one, a.values, b.values))
+    _, i, p = _residuate(c, a.values, b.values)
+    if i is None:
+        raise MembershipDetectedError("residuation solves A·w = b")
+    u, v = (RowVec(a.tag, tuple(w)) for w in _closed_form_pair(c, a.values, b.values, i, p))
     if not check_certificate(a, b, u, v):
         raise InternalInvariantError("closed-form kernel pair failed validation")
     return u, v

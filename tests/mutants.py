@@ -118,23 +118,41 @@ MUTANTS = [
         "    l = 1",
         [SOLVER + "test_answer_is_checked_once_against_the_callers_system[tropical-solution]"],
     ),
-    (  # skip the division by l in _unscaled
+    (  # skip the division by l in _divided
         "semilin/matrices.py",
-        "c.unscale(c.mul(c.inv(s), x), l)",
-        "c.unscale(c.mul(c.inv(s), x), 1)",
+        "c.unscale(x, l)",
+        "c.unscale(x, 1)",
         [SOLVER + "test_answer_check_matches_raw_reference[tropical]"],
     ),
     (
         "semilin/witness.py",
         "lam = o if s == z else c.inv(s)",
         "lam = o",
-        ["tests/test_witness.py::test_kernel_witness_random_nonmembers"],
+        [WITNESS + "test_kernel_witness_random_nonmembers"],
     ),
     (  # H = 1
         "semilin/witness.py",
-        "    v_on_o = z if s == z else o",
-        "    heavy = o\n    v_on_o = z if s == z else o",
-        ["tests/test_witness.py::test_kernel_witness_second_example"],
+        "    v = [heavy if y is None",
+        "    heavy = o\n    v = [heavy if y is None",
+        [WITNESS + "test_kernel_witness_second_example"],
+    ),
+    (  # u_i without the factor b_i^-1
+        "semilin/witness.py",
+        "v[:i] + [lb] + v[i + 1 :]",
+        "v[:i] + [lam] + v[i + 1 :]",
+        [SOLVER + "test_raw_core_matches_element_reference_at_benchmark_sizes"],
+    ),
+    (  # v = 1 instead of b_k^-1 on the rows where b is nonzero
+        "semilin/witness.py",
+        "z if s == z else y for y in b_inv]",
+        "z if s == z else o for y in b_inv]",
+        [SOLVER + "test_raw_core_matches_element_reference"],
+    ),
+    (  # M_j summed over every row, not only those where b is 0
+        "semilin/witness.py",
+        "z_rows = [row for row, x in zip(rows, rhs) if x == z]",
+        "z_rows = rows",
+        [SOLVER + "test_raw_core_matches_element_reference_at_benchmark_sizes"],
     ),
     (  # the Bareiss divisor kept at 1
         "semilin/solver.py",

@@ -402,15 +402,16 @@ SOLVABLE_INSTANCE = "semiring tropical\nmatrix 2 2\n0 2\n3 0\nvector 2\n1 0\n"
 def corrupted_answers(monkeypatch):
     """Make the tropical/boolean path hand wrong answers to the solver's final check.
 
-    The corruption sits in the raw unscaling step the solver calls on every
-    normalized answer, just before the check.
+    The corruption sits in the map back by l, the last step the solver takes
+    on every answer to the integer-scaled system, just before the check.
     """
     import semilin.solver as solver
 
-    def zeros(c, l, scales, at, size, values):
-        return [c.zero] * size  # w = 0 does not reproduce b; u = v = 0 does not separate it
+    def zeros(c, l, xs):
+        # w = 0 does not reproduce b; u = v = 0 does not separate it
+        return tuple(c.zero for _ in xs)
 
-    monkeypatch.setattr(solver, "_unscaled", zeros)
+    monkeypatch.setattr(solver, "_divided", zeros)
 
 
 @pytest.mark.parametrize(

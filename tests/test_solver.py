@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+import semilin.semirings
 import semilin.solver
 import semilin.witness
 from semilin import (
@@ -42,8 +43,8 @@ from semilin.sampling import (
     random_zero_one_col,
 )
 from semilin.matrices import _normalize_raw
-from semilin.solver import _checked_solution, _residuate, _row_reduce
-from semilin.witness import _closed_form_pair
+from semilin.solver import _checked_solution, _row_reduce
+from semilin.witness import _closed_form_pair, _residuate
 from tests.oracles import (
     boolean_member,
     certificate_holds_reference,
@@ -489,6 +490,78 @@ def test_raw_core_matches_element_reference():
     assert scaled >= 1500
 
 
+def test_raw_core_matches_element_reference_at_benchmark_sizes():
+    """The same agreement at d = n in 48..64, entries -9..9 and inf at 1/8; half
+    the right-hand sides are A·w, the others random."""
+    rng = Random(4864)
+    entry = lambda: INF if rng.random() < 0.125 else Fraction(rng.randint(-9, 9))
+    kinds = Counter()
+    for k in range(12):
+        size = rng.randint(48, 64)
+        rows = [[entry() for _ in range(size)] for _ in range(size)]
+        b = _min_plus(rows, [entry() for _ in range(size)]) if k % 2 else [entry() for _ in rows]
+        a, b = matrix(T, rows), col_vec(T, b)
+        result = membership_certified(a, b)
+        got = (result.kind.value, result.w, result.u, result.v)
+        assert got == idempotent_membership_reference(a, b), (a, b)
+        kinds[got[0]] += 1
+    assert kinds["solution"] >= 4 and kinds["refutation"] >= 4, kinds
+
+
+def _zero_rich_draw(tag, rng: Random):
+    """A boolean or min-plus system, d, n <= 7, with a zero row, a zero column and
+    a zero entry of b each planted in a third of the draws; b := A·w for half."""
+    c = carrier(tag)
+    d, n = rng.randint(1, 7), rng.randint(1, 7)
+
+    def entry():
+        if tag is B:
+            return rng.randint(0, 1)
+        return INF if rng.random() < 0.2 else Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+
+    rows = [[entry() for _ in range(n)] for _ in range(d)]
+    if rng.random() < 1 / 3:
+        rows[rng.randrange(d)] = [c.zero] * n
+    if rng.random() < 1 / 3:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = c.zero
+    a = matrix(tag, rows)
+    b = list(mat_mul(a, col_vec(tag, [entry() for _ in range(n)])).values)
+    if rng.random() < 0.5:
+        b = [entry() for _ in range(d)]
+    if rng.random() < 1 / 3:
+        b[rng.randrange(d)] = c.zero
+    return a, col_vec(tag, b)
+
+
+@pytest.mark.parametrize("tag", [B, T])
+def test_raw_stages_never_invert_zero(monkeypatch, tag):
+    """``Carrier.inv`` is never to be called on zero, and the carriers disagree on
+    what it does there.  With an ``inv`` that raises on zero in the carrier table,
+    draws with zero rows, zero columns and zeros in b still get the reference's answers."""
+    c = carrier(tag)
+
+    def inv(x):
+        if x == c.zero:
+            raise AssertionError("inv called on zero")
+        return c.inv(x)
+
+    monkeypatch.setitem(semilin.semirings._CARRIERS, tag, replace(c, inv=inv))
+    rng = Random(2525)
+    seen = Counter()
+    for _ in range(300):
+        a, b = _zero_rich_draw(tag, rng)
+        result = membership_certified(a, b)
+        got = (result.kind.value, result.w, result.u, result.v)
+        assert got == idempotent_membership_reference(a, b), (a, b)
+        seen[got[0]] += 1
+        seen["zero row"] += any(all(x == c.zero for x in row) for row in a.values)
+        seen["zero column"] += any(all(x == c.zero for x in col) for col in zip(*a.values))
+        seen["zero in b"] += c.zero in b.values
+    assert min(seen.values()) >= 40 and len(seen) == 5, seen
+
+
 # --- a non-chain idempotent carrier ---------------------------------------------------
 #
 # Z^2 under componentwise min and +, with INF as zero: idempotent, but (0, 1) and
@@ -516,13 +589,9 @@ def _z2_dot(xs, ys) -> tuple:
     return tuple(min((x[k] + y[k] for x, y in zip(*lifted)), default=math.inf) for k in (0, 1))
 
 
-def _z2_unscale(x, s):
-    """x·s^-1 for a nonzero s."""
-    return INF if x is INF else (x[0] - s[0], x[1] - s[1])
-
-
 def test_raw_stages_decide_a_non_chain_idempotent_carrier():
-    """Normalize, residuate and the closed-form pair over Z^2: every answer checks."""
+    """Residuation and the closed-form pair over Z^2, on the unnormalized
+    system, zero A and zero b included: every answer checks."""
     rng = Random(4242)
     entry = lambda: INF if rng.random() < 0.3 else (rng.randint(-3, 3), rng.randint(-3, 3))
     solutions = pairs = unattained = 0
@@ -534,21 +603,15 @@ def test_raw_stages_decide_a_non_chain_idempotent_carrier():
             rhs = [INF if math.inf in p else p for p in (_z2_dot(row, w) for row in rows)]
         else:
             rhs = [entry() for _ in range(d)]
-        if all(x is INF for x in rhs) or all(x is INF for row in rows for x in row):
-            continue  # membership_certified answers these before normalizing
-        a_norm, b_norm, beta, alpha, kept = _normalize_raw(_Z2, _Z2.one, rows, rhs)
+        a_norm = _normalize_raw(_Z2, rows, rhs)[0]
         # a column sum of one that no single entry attains exists only off a chain
         unattained += any((0, 0) not in col for col in zip(*a_norm))
-        xhat = _residuate(_Z2, a_norm, b_norm)
-        if xhat is not None:
-            w = [INF] * n
-            for j, s, x in zip(kept, alpha, xhat):
-                w[j] = _z2_unscale(x, s)
-            assert [_z2_dot(row, w) for row in rows] == [_z2_dot([x], [(0, 0)]) for x in rhs]
+        xhat, i, p = _residuate(_Z2, rows, rhs)
+        if i is None:
+            assert [_z2_dot(row, xhat) for row in rows] == [_z2_dot([x], [(0, 0)]) for x in rhs]
             solutions += 1
         else:
-            pair = _closed_form_pair(_Z2, _Z2.one, a_norm, b_norm)
-            u, v = ([_z2_unscale(x, s) for x, s in zip(w, beta)] for w in pair)
+            u, v = _closed_form_pair(_Z2, rows, rhs, i, p)
             assert all(_z2_dot(u, col) == _z2_dot(v, col) for col in zip(*rows))
             assert _z2_dot(u, rhs) != _z2_dot(v, rhs)
             pairs += 1
